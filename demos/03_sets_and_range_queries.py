@@ -33,7 +33,7 @@ print("bst height:", t.height())
 td = LeafBst(mode="direct")
 for k in (1, 5, 9):
     td.insert(k)
-td.delete_recorded_once(5)
+td.delete(5)
 print("direct-build tree after copy-on-delete:", td.range_query(0, 10))
 
 # Paired updates vs concurrent range queries.

@@ -23,6 +23,7 @@ import random
 import sys
 import threading
 import time
+import traceback
 from dataclasses import dataclass, field
 
 from . import instrument
@@ -233,25 +234,29 @@ def _timed_mix(structure, config: WorkloadConfig):
     counts = [dict(ins=0, delete=0, find=0, rq=0) for _ in range(config.threads)]
     start_gate = threading.Barrier(config.threads + 1)
     stop = threading.Event()
+    errors: list = []
 
     def worker(tid: int):
         rng = random.Random(f"{config.seed}-{tid}")
         mine = counts[tid]
         start_gate.wait()
-        while not stop.is_set():
-            roll = rng.random() * 100
-            if roll < cut_ins:
-                do_ins(rng)
-                mine["ins"] += 1
-            elif roll < cut_del:
-                do_del(rng)
-                mine["delete"] += 1
-            elif roll < cut_find:
-                do_find(rng)
-                mine["find"] += 1
-            else:
-                do_rq(rng)
-                mine["rq"] += 1
+        try:
+            while not stop.is_set():
+                roll = rng.random() * 100
+                if roll < cut_ins:
+                    do_ins(rng)
+                    mine["ins"] += 1
+                elif roll < cut_del:
+                    do_del(rng)
+                    mine["delete"] += 1
+                elif roll < cut_find:
+                    do_find(rng)
+                    mine["find"] += 1
+                else:
+                    do_rq(rng)
+                    mine["rq"] += 1
+        except Exception as exc:  # surfaced below, after every join
+            errors.append(exc)
 
     threads = [threading.Thread(target=worker, args=(i,))
                for i in range(config.threads)]
@@ -269,6 +274,8 @@ def _timed_mix(structure, config: WorkloadConfig):
     elapsed = time.perf_counter() - t0
     for t in threads:
         t.join()
+    if errors:
+        raise errors[0]
     totals = {k: sum(c[k] for c in counts) for k in ("ins", "delete", "find", "rq")}
     return totals, elapsed
 
@@ -467,6 +474,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a worker died: fail loudly, emit no report
+        traceback.print_exception(exc)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -7,9 +7,9 @@ child pointers it will change, performs the single child-pointer swing that
 linearizes it, then unflags.  Any thread meeting a flag helps that operation
 first, so updates are lock-free.
 
-Child pointers are versioned cells; the update (flag) word is a plain atomic
-cell because queries only ever read key/left/right, so its history is never
-needed.  Three builds share the code:
+Child pointers are versioned cells; the update (flag) word is a plain
+:class:`AtomicCell` because queries only ever read key/left/right, so its
+history is never needed.  Three builds share the code:
 
 * ``indirect`` - child cells are VersionedCas (the default);
 * ``direct``   - child cells are DirectVersionedCas; nodes embed their
@@ -24,8 +24,6 @@ depth two or more, so a deletable leaf always has a grandparent.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 from . import reclaim
 from .atomic import AtomicCell, PlainCell
@@ -119,20 +117,6 @@ class DInfo:
         self._poisoned = True
 
 
-class _UpdateCell(AtomicCell):
-    """Flag word; counts reads so tests can assert queries never touch it."""
-
-    __slots__ = ("_reads",)
-
-    def __init__(self, value, reads_box) -> None:
-        super().__init__(value)
-        self._reads = reads_box
-
-    def read(self):
-        self._reads[0] += 1
-        return super().read()
-
-
 class LeafBst:
     def __init__(self, camera: Camera | None = None,
                  epoch: EpochManager | None = None,
@@ -142,7 +126,8 @@ class LeafBst:
         self.camera = camera or Camera()
         self.epoch = epoch or EpochManager()
         self.mode = mode
-        self.update_reads = [0]
+        # plain builds answer queries from current values: no snapshot
+        self._query_camera = None if mode == "plain" else self.camera
         self._root = self._internal(INF2, BstLeaf(INF1), BstLeaf(INF2))
 
     # -- construction helpers ----------------------------------------------------
@@ -156,7 +141,7 @@ class LeafBst:
 
     def _internal(self, key, left_node, right_node) -> BstInternal:
         return BstInternal(key, self._cell(left_node), self._cell(right_node),
-                           _UpdateCell((CLEAN, None), self.update_reads))
+                           AtomicCell((CLEAN, None)))
 
     @staticmethod
     def _check_key(key) -> None:
@@ -253,12 +238,6 @@ class LeafBst:
                 else:
                     self._help(gp.update.read())
 
-    def delete_recorded_once(self, key) -> bool:
-        """Direct-build deletion (publishes a fresh sibling copy)."""
-        if self.mode != "direct":
-            raise RuntimeError("recorded-once deletion needs a direct-mode tree")
-        return self.delete(key)
-
     def _help_delete(self, op: DInfo) -> bool:
         if (op.p.update.cas(op.pupdate, (MARK, op))
                 or op.p.update.read() == (MARK, op)):
@@ -306,92 +285,84 @@ class LeafBst:
                               sibling.right.read())
 
     # -- snapshot queries ----------------------------------------------------------
-
-    @contextmanager
-    def _query(self):
-        with self.epoch.maybe_pinned():
-            if self.mode == "plain":
-                yield None          # baseline build: non-atomic queries
-                return
-            handle = self.epoch.snapshot(self.camera)
-            try:
-                yield handle
-            finally:
-                self.epoch.release_snapshot(handle)
+    #
+    # Traversals keep an explicit stack of child cells, pushed right before
+    # left, so they visit leaves in key order and resolve each cell at the
+    # handle only when they reach it; the tree is unbalanced, so recursion
+    # would overflow on deep trees.
 
     def range_query(self, start, end) -> list:
         if start > end:
             raise ValueError("range start exceeds end")
-        with self._query() as h:
-            out = []
-            self._collect(self._root, h, start, end, out.append)
-            return out
+        with self.epoch.query(self._query_camera) as h:
+            return self._collect(h, start, end)
 
     def range_sum(self, start, end):
         if start > end:
             raise ValueError("range start exceeds end")
-        with self._query() as h:
-            total = [0]
+        with self.epoch.query(self._query_camera) as h:
+            return sum(self._collect(h, start, end))
 
-            def add(k):
-                total[0] += k
-
-            self._collect(self._root, h, start, end, add)
-            return total[0]
-
-    def _collect(self, node, h, s, e, emit) -> None:
-        if reclaim.POISON_ON:
-            reclaim.check_live(node)
-        if isinstance(node, BstLeaf):
-            if self._is_real(node) and s <= node.key <= e:
-                emit(node.key)
-            return
-        if s < node.key:
-            self._collect(node.left.read_snapshot(h), h, s, e, emit)
-        if e >= node.key:
-            self._collect(node.right.read_snapshot(h), h, s, e, emit)
+    def _collect(self, h, s, e) -> list:
+        out = []
+        node, stack = self._root, []
+        while True:
+            if reclaim.POISON_ON:
+                reclaim.check_live(node)
+            if isinstance(node, BstLeaf):
+                if self._is_real(node) and s <= node.key <= e:
+                    out.append(node.key)
+            else:
+                if e >= node.key:
+                    stack.append(node.right)
+                if s < node.key:
+                    stack.append(node.left)
+            if not stack:
+                return out
+            node = stack.pop().read_snapshot(h)
 
     def succ(self, key, count: int) -> list:
         if count < 1:
             raise ValueError("succ needs count >= 1")
-        with self._query() as h:
+        with self.epoch.query(self._query_camera) as h:
             out: list = []
-            self._succ(self._root, h, key, count, out)
-            return out
-
-    def _succ(self, node, h, key, count, out) -> None:
-        if len(out) >= count:
-            return
-        if isinstance(node, BstLeaf):
-            if self._is_real(node) and node.key > key:
-                out.append(node.key)
-            return
-        if key < node.key:
-            self._succ(node.left.read_snapshot(h), h, key, count, out)
-        self._succ(node.right.read_snapshot(h), h, key, count, out)
+            node, stack = self._root, []
+            while True:
+                if isinstance(node, BstLeaf):
+                    if self._is_real(node) and node.key > key:
+                        out.append(node.key)
+                        if len(out) >= count:
+                            return out
+                else:
+                    stack.append(node.right)
+                    if key < node.key:
+                        stack.append(node.left)
+                if not stack:
+                    return out
+                node = stack.pop().read_snapshot(h)
 
     def find_if(self, start, end, predicate):
         """First key in [start, end) satisfying the predicate, else None."""
         if start > end:
             raise ValueError("range start exceeds end")
-        with self._query() as h:
-            return self._find_if(self._root, h, start, end, predicate)
-
-    def _find_if(self, node, h, s, e, predicate):
-        if isinstance(node, BstLeaf):
-            if self._is_real(node) and s <= node.key < e and predicate(node.key):
-                return node.key
-            return None
-        if s < node.key:
-            hit = self._find_if(node.left.read_snapshot(h), h, s, e, predicate)
-            if hit is not None:
-                return hit
-        if e > node.key:
-            return self._find_if(node.right.read_snapshot(h), h, s, e, predicate)
-        return None
+        with self.epoch.query(self._query_camera) as h:
+            node, stack = self._root, []
+            while True:
+                if isinstance(node, BstLeaf):
+                    if (self._is_real(node) and start <= node.key < end
+                            and predicate(node.key)):
+                        return node.key
+                else:
+                    if end > node.key:
+                        stack.append(node.right)
+                    if start < node.key:
+                        stack.append(node.left)
+                if not stack:
+                    return None
+                node = stack.pop().read_snapshot(h)
 
     def multisearch(self, keys) -> dict:
-        with self._query() as h:
+        with self.epoch.query(self._query_camera) as h:
             return {k: self._find_at(k, h) for k in keys}
 
     def _find_at(self, key, h) -> bool:
@@ -403,12 +374,17 @@ class LeafBst:
     def height(self) -> int:
         """Longest path through the key-bearing part of the tree at the cut:
         0 for an empty set, 1 for a single key."""
-        with self._query() as h:
-            deepest = self._depth(self._root, h, 0)
-            return deepest - 1 if deepest else 0
-
-    def _depth(self, node, h, d) -> int:
-        if isinstance(node, BstLeaf):
-            return d if self._is_real(node) else 0
-        return max(self._depth(node.left.read_snapshot(h), h, d + 1),
-                   self._depth(node.right.read_snapshot(h), h, d + 1))
+        with self.epoch.query(self._query_camera) as h:
+            deepest = 0
+            node, d, stack = self._root, 0, []
+            while True:
+                if isinstance(node, BstLeaf):
+                    if self._is_real(node) and d > deepest:
+                        deepest = d
+                else:
+                    stack.append((node.right, d + 1))
+                    stack.append((node.left, d + 1))
+                if not stack:
+                    return deepest - 1 if deepest else 0
+                cell, d = stack.pop()
+                node = cell.read_snapshot(h)

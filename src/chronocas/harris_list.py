@@ -14,7 +14,6 @@ marked or removed.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 
 from . import instrument, reclaim
 from .camera import Camera
@@ -176,19 +175,10 @@ class HarrisList:
         with self._count_lock:
             return self.insert_count + self.delete_count
 
-    @contextmanager
-    def _query(self):
-        with self.epoch.maybe_pinned():
-            handle = self.epoch.snapshot(self.camera)
-            try:
-                yield handle
-            finally:
-                self.epoch.release_snapshot(handle)
-
     def range_query(self, start, end) -> list:
         if start > end:
             raise ValueError("range start exceeds end")
-        with self._query() as h:
+        with self.epoch.query(self.camera) as h:
             out = []
             node = self.get_next(self.head, h)
             while node is not self.tail and node.key <= end:
@@ -199,7 +189,7 @@ class HarrisList:
 
     def multisearch(self, keys) -> dict:
         targets = sorted(set(keys))
-        with self._query() as h:
+        with self.epoch.query(self.camera) as h:
             found = {k: False for k in targets}
             i = 0
             node = self.get_next(self.head, h)
@@ -215,7 +205,7 @@ class HarrisList:
     def ith(self, i: int):
         if i < 1:
             raise ValueError("ith index is 1-based")
-        with self._query() as h:
+        with self.epoch.query(self.camera) as h:
             node = self.get_next(self.head, h)
             seen = 0
             while node is not self.tail:

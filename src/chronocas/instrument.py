@@ -11,6 +11,7 @@ stays at zero.
 
 from __future__ import annotations
 
+import bisect
 import threading
 
 ENABLED = False
@@ -61,6 +62,24 @@ def note_hops(n: int) -> None:
         with _lock:
             _hop_sinks.append(sink)
     sink[n] = sink.get(n, 0) + 1
+
+
+def note_walk(log, log_len: int, handle: int, hops: int) -> None:
+    """Record one read_snapshot walk of ``hops`` hops and check its bound.
+
+    ``log`` is the cell's published-version log (None when the cell was
+    built with instrumentation off) and ``log_len`` its length when the walk
+    read the head.  Log timestamps are nondecreasing at every instant (only
+    the newest entry can still be TBD, which sorts above any handle), so the
+    versions newer than the handle form a suffix found by bisection.
+    """
+    note_hops(hops)
+    if log is None:
+        return
+    allowed = log_len - bisect.bisect_right(log, handle, 0, log_len,
+                                            key=lambda n: n.ts)
+    if hops > allowed:
+        violation(f"read_snapshot walked {hops} hops, bound {allowed}")
 
 
 def hop_histogram() -> dict[int, int]:

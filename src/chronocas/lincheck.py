@@ -23,6 +23,7 @@ import threading
 from dataclasses import dataclass, field
 
 from . import _gate
+from .oracle import queue_answer, set_answer
 
 
 class RecorderError(RuntimeError):
@@ -265,14 +266,17 @@ class VcasCheckerSpec:
         return state
 
 
-class QueueCheckerSpec:
-    """FIFO queue with atomic multi-point queries."""
+class _CollectionCheckerSpec:
+    """Checker form of a queue or set spec.  The state is an immutable
+    tuple; an update must return what ``_update`` says, and a query must
+    return the :mod:`chronocas.oracle` answer for the state it is
+    linearized at (unknown kinds raise ``OracleError``)."""
 
     def __init__(self, initial=()) -> None:
         self._initial = tuple(initial)
 
     def effectful_kinds(self):
-        return {"enqueue", "dequeue"}
+        return self.UPDATES
 
     def initial_state(self):
         return self._initial
@@ -281,97 +285,45 @@ class QueueCheckerSpec:
         return state
 
     def apply(self, state, rec):
-        kind = rec.kind
-        if kind == "enqueue":
-            return state + (rec.args[0],)
-        if kind == "dequeue":
-            if not state:
-                return state if rec.result is None else None
-            return state[1:] if rec.result == state[0] else None
-        if kind == "scan":
-            return state if tuple(rec.result) == state else None
-        if kind == "peek":
-            expect = (state[0], state[-1]) if state else (None, None)
-            return state if tuple(rec.result) == expect else None
-        if kind == "ith":
-            (i,) = rec.args
-            expect = state[i - 1] if i <= len(state) else None
-            return state if rec.result == expect else None
-        raise ValueError(f"unknown op kind {kind!r}")
+        if rec.kind in self.UPDATES:
+            after, result = self._update(state, rec.kind, rec.args)
+            return after if rec.result == result else None
+        want = self._answer(state, (rec.kind,) + rec.args)
+        return state if rec.result == want else None
 
     def apply_pending(self, state, rec):
-        if rec.kind == "enqueue":
-            return state + (rec.args[0],)
-        if rec.kind == "dequeue":
-            return state[1:] if state else state
-        return state
+        return self._update(state, rec.kind, rec.args)[0]
 
 
-class SetCheckerSpec:
+class QueueCheckerSpec(_CollectionCheckerSpec):
+    """FIFO queue with atomic multi-point queries."""
+
+    UPDATES = frozenset({"enqueue", "dequeue"})
+    _answer = staticmethod(queue_answer)
+
+    @staticmethod
+    def _update(state, kind, args):
+        if kind == "enqueue":
+            return state + (args[0],), None
+        return (state[1:], state[0]) if state else (state, None)
+
+
+class SetCheckerSpec(_CollectionCheckerSpec):
     """Ordered set with atomic multi-point queries (list and tree shapes)."""
 
+    UPDATES = frozenset({"insert", "delete"})
+    _answer = staticmethod(set_answer)
+
     def __init__(self, initial=()) -> None:
-        self._initial = tuple(sorted(initial))
+        super().__init__(sorted(initial))
 
-    def effectful_kinds(self):
-        return {"insert", "delete"}
-
-    def initial_state(self):
-        return self._initial
-
-    def state_key(self, state):
-        return state
-
-    def apply(self, state, rec):
-        kind = rec.kind
+    @staticmethod
+    def _update(state, kind, args):
+        k = args[0]
+        present = k in state
         if kind == "insert":
-            k = rec.args[0]
-            if k in state:
-                return state if rec.result is False else None
-            if rec.result is not True:
-                return None
-            return tuple(sorted(state + (k,)))
-        if kind == "delete":
-            k = rec.args[0]
-            if k not in state:
-                return state if rec.result is False else None
-            if rec.result is not True:
-                return None
-            return tuple(x for x in state if x != k)
-        if kind in ("contains", "find"):
-            return state if rec.result == (rec.args[0] in state) else None
-        if kind == "range":
-            s, e = rec.args
-            expect = [k for k in state if s <= k <= e]
-            return state if list(rec.result) == expect else None
-        if kind == "range_sum":
-            s, e = rec.args
-            expect = sum(k for k in state if s <= k <= e)
-            return state if rec.result == expect else None
-        if kind == "multisearch":
-            expect = {k: k in state for k in rec.args[0]}
-            return state if dict(rec.result) == expect else None
-        if kind == "ith":
-            (i,) = rec.args
-            expect = state[i - 1] if i <= len(state) else None
-            return state if rec.result == expect else None
-        if kind == "succ":
-            k, c = rec.args
-            expect = [x for x in state if x > k][:c]
-            return state if list(rec.result) == expect else None
-        if kind == "findif":
-            s, e, pred = rec.args
-            expect = next((x for x in state if s <= x < e and pred(x)), None)
-            return state if rec.result == expect else None
-        raise ValueError(f"unknown op kind {kind!r}")
-
-    def apply_pending(self, state, rec):
-        k = rec.args[0]
-        if rec.kind == "insert" and k not in state:
-            return tuple(sorted(state + (k,)))
-        if rec.kind == "delete" and k in state:
-            return tuple(x for x in state if x != k)
-        return state
+            return (state if present else tuple(sorted(state + (k,)))), not present
+        return (tuple(x for x in state if x != k) if present else state), present
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,6 @@ Keys must not be None; None is the empty indication.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 from . import instrument, reclaim
 from .atomic import PlainCell
 from .camera import Camera
@@ -88,17 +86,8 @@ class MsQueue:
 
     # -- queries (each runs against one snapshot cut) ---------------------------
 
-    @contextmanager
-    def _query(self):
-        with self.epoch.maybe_pinned():
-            handle = self.epoch.snapshot(self.camera)
-            try:
-                yield handle
-            finally:
-                self.epoch.release_snapshot(handle)
-
     def peek_endpoints(self):
-        with self._query() as h:
+        with self.epoch.query(self.camera) as h:
             head = self._head.read_snapshot(h)
             tail = self._tail.read_snapshot(h)
             if head is tail:
@@ -114,7 +103,7 @@ class MsQueue:
         """
         if at is not None:
             return self._scan_at(at)
-        with self._query() as h:
+        with self.epoch.query(self.camera) as h:
             return self._scan_at(h)
 
     def _scan_at(self, h: int) -> list:
@@ -132,7 +121,7 @@ class MsQueue:
         """The i-th element (1-based) from the head at the cut, else None."""
         if i < 1:
             raise ValueError("ith index is 1-based")
-        with self._query() as h:
+        with self.epoch.query(self.camera) as h:
             node = self._head.read_snapshot(h)
             last = self._tail.read_snapshot(h)
             visits = 1

@@ -1,11 +1,14 @@
 """Sequential specifications used as ground truth.
 
 Three families: the versioned-cell spec (a committed-value log plus a
-logical clock), a FIFO queue, and ordered sets (one flat, one mirroring the
-leaf-oriented tree so shape-dependent queries like height are defined).
-``replay`` folds ``step`` over a single-threaded history; the concurrent
-suites diff structure outputs against these, so nothing here may import the
-concurrent modules.
+logical clock), a FIFO queue, and ordered sets (one flat, one that also
+splices the leaf-oriented tree so the shape query height is defined).
+Every queue and set query is answered by one pure function of the abstract
+state, ``queue_answer`` or ``set_answer``; the sequential specs here and
+the checker specs in :mod:`chronocas.lincheck` both call them, so each
+query's meaning is written once.  ``replay`` folds ``step`` over a
+single-threaded history; the concurrent suites diff structure outputs
+against these, so nothing here may import the concurrent modules.
 
 Snapshot handles follow the concrete counter behavior: every snapshot
 returns the clock and bumps it, so replayed handles line up one-for-one with
@@ -65,6 +68,59 @@ class SeqVcas:
 
 
 # ---------------------------------------------------------------------------
+# Query answers (shared with the lincheck checker specs)
+# ---------------------------------------------------------------------------
+
+def queue_answer(items, op):
+    """Answer of a queue query on ``items``, listed head to tail."""
+    kind = op[0]
+    if kind == "scan":
+        return list(items)
+    if kind == "peek":
+        return (items[0], items[-1]) if items else (None, None)
+    if kind == "ith":
+        i = op[1]
+        if i < 1:
+            raise OracleError("ith index is 1-based")
+        return items[i - 1] if i <= len(items) else None
+    raise OracleError(f"unknown operation {kind!r}")
+
+
+def set_answer(keys, op):
+    """Answer of an ordered-set query on ``keys``, sorted ascending."""
+    kind = op[0]
+    if kind in ("contains", "find"):
+        i = bisect.bisect_left(keys, op[1])
+        return i < len(keys) and keys[i] == op[1]
+    if kind in ("range", "range_sum"):
+        _, s, e = op
+        if s > e:
+            raise OracleError("empty-interval range")
+        found = keys[bisect.bisect_left(keys, s):bisect.bisect_right(keys, e)]
+        return list(found) if kind == "range" else sum(found)
+    if kind == "multisearch":
+        return {k: set_answer(keys, ("contains", k)) for k in op[1]}
+    if kind == "ith":
+        i = op[1]
+        if i < 1:
+            raise OracleError("ith index is 1-based")
+        return keys[i - 1] if i <= len(keys) else None
+    if kind == "succ":
+        _, k, c = op
+        if c < 1:
+            raise OracleError("succ needs c >= 1")
+        lo = bisect.bisect_right(keys, k)
+        return list(keys[lo:lo + c])
+    if kind == "findif":
+        _, s, e, pred = op
+        if s > e:
+            raise OracleError("empty-interval range")
+        found = keys[bisect.bisect_left(keys, s):bisect.bisect_left(keys, e)]
+        return next((k for k in found if pred(k)), None)
+    raise OracleError(f"unknown operation {kind!r}")
+
+
+# ---------------------------------------------------------------------------
 # FIFO queue
 # ---------------------------------------------------------------------------
 
@@ -88,71 +144,35 @@ class SeqQueue:
             self.clock += 1
             self._cuts[handle] = tuple(self.items)
             return handle
-        if kind == "scan":
-            at = op[1] if len(op) > 1 else None
-            items = list(self._cuts[at]) if at is not None else list(self.items)
-            return items
-        if kind == "peek":
-            items = self.items
-            return (items[0], items[-1]) if items else (None, None)
-        if kind == "ith":
-            i = op[1]
-            if i < 1:
-                raise OracleError("ith index is 1-based")
-            return self.items[i - 1] if i <= len(self.items) else None
-        raise OracleError(f"unknown operation {kind!r}")
+        at = op[1] if kind == "scan" and len(op) > 1 else None
+        return queue_answer(self.items if at is None else self._cuts[at], op)
 
 
 # ---------------------------------------------------------------------------
-# Ordered set (flat view: Harris list)
+# Ordered sets
 # ---------------------------------------------------------------------------
 
 class SeqOrderedSet:
-    """Sorted-list set with the list-shaped multi-point queries."""
+    """Sorted-list set with the multi-point queries."""
 
     def __init__(self) -> None:
         self.keys: list = []
 
     def step(self, op):
         kind = op[0]
-        if kind == "insert":
-            k = op[1]
-            i = bisect.bisect_left(self.keys, k)
-            if i < len(self.keys) and self.keys[i] == k:
-                return False
+        if kind not in ("insert", "delete"):
+            return set_answer(self.keys, op)
+        k = op[1]
+        i = bisect.bisect_left(self.keys, k)
+        present = i < len(self.keys) and self.keys[i] == k
+        if kind == "insert" and not present:
             self.keys.insert(i, k)
             return True
-        if kind == "delete":
-            k = op[1]
-            i = bisect.bisect_left(self.keys, k)
-            if i < len(self.keys) and self.keys[i] == k:
-                del self.keys[i]
-                return True
-            return False
-        if kind == "contains":
-            k = op[1]
-            i = bisect.bisect_left(self.keys, k)
-            return i < len(self.keys) and self.keys[i] == k
-        if kind == "range":
-            _, s, e = op
-            if s > e:
-                raise OracleError("empty-interval range")
-            lo = bisect.bisect_left(self.keys, s)
-            hi = bisect.bisect_right(self.keys, e)
-            return self.keys[lo:hi]
-        if kind == "multisearch":
-            return {k: self.step(("contains", k)) for k in op[1]}
-        if kind == "ith":
-            i = op[1]
-            if i < 1:
-                raise OracleError("ith index is 1-based")
-            return self.keys[i - 1] if i <= len(self.keys) else None
-        raise OracleError(f"unknown operation {kind!r}")
+        if kind == "delete" and present:
+            del self.keys[i]
+            return True
+        return False
 
-
-# ---------------------------------------------------------------------------
-# Leaf-oriented BST (shape-faithful mirror)
-# ---------------------------------------------------------------------------
 
 class _SeqLeaf:
     __slots__ = ("key",)
@@ -170,18 +190,19 @@ class _SeqInternal:
         self.right = right
 
 
-class SeqLeafBst:
-    """Sequential leaf-oriented BST with the exact splice rules of the
-    concurrent tree, so shape queries (height) are comparable."""
+class SeqLeafBst(SeqOrderedSet):
+    """Ordered set that also splices a leaf-oriented tree exactly as the
+    concurrent tree does, so the shape query ``height`` is comparable."""
 
     def __init__(self, sentinel_lo, sentinel_hi) -> None:
+        super().__init__()
         self._lo = sentinel_lo
         self._hi = sentinel_hi
         self.root = _SeqInternal(sentinel_hi, _SeqLeaf(sentinel_lo),
                                  _SeqLeaf(sentinel_hi))
 
     def _search(self, key):
-        gp, p, l = None, self.root, None
+        gp, p = None, self.root
         l = p.left if key < p.key else p.right
         while isinstance(l, _SeqInternal):
             gp, p = p, l
@@ -193,11 +214,12 @@ class SeqLeafBst:
 
     def step(self, op):
         kind = op[0]
-        if kind == "insert":
+        if kind == "height":
+            return self._height()
+        changed = super().step(op)
+        if kind == "insert" and changed:
             k = op[1]
             _, p, l = self._search(k)
-            if l.key == k:
-                return False
             new_leaf, sib = _SeqLeaf(k), _SeqLeaf(l.key)
             if k < l.key:
                 ni = _SeqInternal(l.key, new_leaf, sib)
@@ -207,92 +229,28 @@ class SeqLeafBst:
                 p.left = ni
             else:
                 p.right = ni
-            return True
-        if kind == "delete":
-            k = op[1]
-            gp, p, l = self._search(k)
-            if l.key != k:
-                return False
+        elif kind == "delete" and changed:
+            gp, p, l = self._search(op[1])
             sibling = p.right if l.key < p.key else p.left
             if p.key < gp.key:
                 gp.left = sibling
             else:
                 gp.right = sibling
-            return True
-        if kind == "find":
-            _, _, l = self._search(op[1])
-            return l.key == op[1]
-        if kind == "range":
-            _, s, e = op
-            if s > e:
-                raise OracleError("empty-interval range")
-            out = []
-            self._collect(self.root, s, e, out)
-            return out
-        if kind == "range_sum":
-            _, a, b = op
-            if a > b:
-                raise OracleError("empty-interval range")
-            out = []
-            self._collect(self.root, a, b, out)
-            return sum(out)
-        if kind == "succ":
-            _, k, c = op
-            if c < 1:
-                raise OracleError("succ needs c >= 1")
-            out = []
-            self._succ(self.root, k, c, out)
-            return out
-        if kind == "findif":
-            _, s, e, pred = op
-            if s > e:
-                raise OracleError("empty-interval range")
-            return self._findif(self.root, s, e, pred)
-        if kind == "multisearch":
-            return {k: self.step(("find", k)) for k in op[1]}
-        if kind == "height":
-            best = self._depth(self.root, 0)
-            return best - 1 if best else 0
-        raise OracleError(f"unknown operation {kind!r}")
+        return changed
 
-    def _collect(self, node, s, e, out):
-        if isinstance(node, _SeqLeaf):
-            if self._is_real(node) and s <= node.key <= e:
-                out.append(node.key)
-            return
-        if s < node.key:
-            self._collect(node.left, s, e, out)
-        if e >= node.key:
-            self._collect(node.right, s, e, out)
-
-    def _succ(self, node, k, c, out):
-        if len(out) >= c:
-            return
-        if isinstance(node, _SeqLeaf):
-            if self._is_real(node) and node.key > k:
-                out.append(node.key)
-            return
-        if k < node.key:
-            self._succ(node.left, k, c, out)
-        self._succ(node.right, k, c, out)
-
-    def _findif(self, node, s, e, pred):
-        if isinstance(node, _SeqLeaf):
-            if self._is_real(node) and s <= node.key < e and pred(node.key):
-                return node.key
-            return None
-        if s < node.key:
-            hit = self._findif(node.left, s, e, pred)
-            if hit is not None:
-                return hit
-        if e > node.key:
-            return self._findif(node.right, s, e, pred)
-        return None
-
-    def _depth(self, node, d):
-        if isinstance(node, _SeqLeaf):
-            return d if self._is_real(node) else 0
-        return max(self._depth(node.left, d + 1), self._depth(node.right, d + 1))
+    def _height(self) -> int:
+        """Longest root-to-real-leaf path, less one; 0 for an empty set."""
+        deepest = 0
+        stack = [(self.root, 0)]
+        while stack:
+            node, d = stack.pop()
+            if isinstance(node, _SeqLeaf):
+                if self._is_real(node) and d > deepest:
+                    deepest = d
+            else:
+                stack.append((node.right, d + 1))
+                stack.append((node.left, d + 1))
+        return deepest - 1 if deepest else 0
 
 
 # ---------------------------------------------------------------------------

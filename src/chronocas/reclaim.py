@@ -14,14 +14,16 @@ raises :class:`PoisonedReadError`.  The stress suites assert that the trap
 never fires.
 
 Queries must pin for their whole snapshot lifetime, and a thread holds at
-most one snapshot handle at a time; the data-structure modules fuse
-pin + take_snapshot so the epoch argument for timestamp-based safety holds.
+most one snapshot handle at a time; every data-structure query runs inside
+:meth:`EpochManager.query`, which fuses pin + take_snapshot so the epoch
+argument for timestamp-based safety holds.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from contextlib import contextmanager
 
 POISON_ON = os.environ.get("CHRONOCAS_DEBUG_POISON") == "1"
 
@@ -135,6 +137,23 @@ class EpochManager:
         if slot.snapshot is not None and slot.snapshot != handle:
             raise ReclaimError("releasing a handle this thread does not hold")
         slot.snapshot = None
+
+    @contextmanager
+    def query(self, camera):
+        """Pin (unless already pinned, as ``maybe_pinned``) and hold one
+        snapshot handle of ``camera`` for the block; yields the handle.
+        With ``camera`` None no snapshot is taken and None is yielded."""
+        guard = None if self.is_pinned() else self.pin()
+        handle = None
+        try:
+            if camera is not None:
+                handle = self.snapshot(camera)
+            yield handle
+        finally:
+            if handle is not None:
+                self.release_snapshot(handle)
+            if guard is not None:
+                self.unpin(guard)
 
     # -- retire / advance / collect ------------------------------------------
 

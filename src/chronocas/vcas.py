@@ -14,7 +14,6 @@ of history length; ``read_snapshot`` walks one link per newer version.
 
 from __future__ import annotations
 
-import bisect
 import operator
 
 from . import _gate, instrument, reclaim
@@ -133,16 +132,7 @@ class VersionedCas:
         if poison:
             reclaim.check_live(node)
         if instrument.ENABLED:
-            instrument.note_hops(hops)
-            if self._log is not None:
-                # log timestamps are nondecreasing at every instant (only the
-                # newest entry can still be TBD, which sorts above any handle)
-                first_newer = bisect.bisect_right(
-                    self._log, handle, 0, log_len, key=lambda n: n.ts)
-                allowed = log_len - first_newer
-                if hops > allowed:
-                    instrument.violation(
-                        f"read_snapshot walked {hops} hops, bound {allowed}")
+            instrument.note_walk(self._log, log_len, handle, hops)
         return node.val
 
     # -- introspection (tests, bench) -------------------------------------------

@@ -12,8 +12,6 @@ Values are node references (or None); comparison is identity.
 
 from __future__ import annotations
 
-import bisect
-
 from . import _gate, instrument, reclaim
 from .atomic import AtomicCell, field_cas, _install_lock
 from .camera import TBD, Camera
@@ -131,14 +129,7 @@ class DirectVersionedCas:
         if poison and node is not None:
             reclaim.check_live(node)
         if instrument.ENABLED:
-            instrument.note_hops(hops)
-            if self._log is not None:
-                first_newer = bisect.bisect_right(
-                    self._log, handle, 0, log_len, key=lambda n: n.ts)
-                allowed = log_len - first_newer
-                if hops > allowed:
-                    instrument.violation(
-                        f"direct read_snapshot walked {hops}, bound {allowed}")
+            instrument.note_walk(self._log, log_len, handle, hops)
         return node
 
     def version_count(self) -> int:

@@ -1,7 +1,10 @@
+import itertools
 import json
+import threading
 
 import pytest
 
+from chronocas import LeafBst, bench
 from chronocas.bench import (ConfigError, WorkloadConfig, main, run,
                              run_with_baseline, stress)
 
@@ -97,3 +100,31 @@ def test_cli_stress_mode(capsys):
     assert out["kind"] == "stress"
     assert out["windows"] == 10
     assert rc == 0
+
+
+class _OneFailingFind(LeafBst):
+    """Raises from the 20th find; every other operation works."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._finds = itertools.count(1)
+
+    def find(self, key):
+        if next(self._finds) == 20:
+            raise RuntimeError("injected find failure")
+        return super().find(key)
+
+
+def test_worker_error_fails_the_run(monkeypatch, capsys):
+    monkeypatch.setattr(bench, "build_structure", lambda name: _OneFailingFind())
+    threads_before = threading.active_count()
+    with pytest.raises(RuntimeError, match="injected find failure"):
+        run(WorkloadConfig(structure="bst", prefill=50, threads=2,
+                           seconds=0.2, seed=5))
+    assert threading.active_count() == threads_before   # every worker joined
+    rc = main(["--structure", "bst", "--prefill", "50", "--threads", "2",
+               "--seconds", "0.2"])
+    out = capsys.readouterr()
+    assert rc == 1
+    assert out.out == ""
+    assert "injected find failure" in out.err

@@ -5,7 +5,8 @@ import pytest
 from chronocas import LeafBst
 from chronocas.bench import WorkloadConfig, stress
 from chronocas.oracle import SeqLeafBst
-from chronocas.bst import INF1, INF2
+from chronocas.atomic import AtomicCell
+from chronocas.bst import INF1, INF2, BstInternal
 
 
 def test_insert_find():
@@ -20,6 +21,13 @@ def test_delete():
     t.insert(5)
     assert t.delete(5) is True
     assert t.delete(5) is False
+    assert t.find(5) is False
+    # the direct build deletes by publishing a fresh copy of the sibling
+    t = LeafBst(mode="direct")
+    t.insert(1)
+    t.insert(5)
+    assert t.delete(5) is True
+    assert t.find(1) is True
     assert t.find(5) is False
 
 
@@ -124,17 +132,6 @@ def test_sequential_replay_matches_oracle_direct():
     _drive(LeafBst(mode="direct"), SeqLeafBst(INF1, INF2), seed=23, steps=1500)
 
 
-def test_delete_recorded_once_examples():
-    t = LeafBst(mode="direct")
-    t.insert(1)
-    t.insert(5)
-    assert t.delete_recorded_once(5) is True
-    assert t.find(1) is True
-    assert t.find(5) is False
-    with pytest.raises(RuntimeError):
-        LeafBst(mode="indirect").delete_recorded_once(1)
-
-
 def test_direct_indirect_identical_query_outputs():
     """Same seeded single-thread history: byte-identical query transcripts."""
     def transcript(mode):
@@ -159,18 +156,33 @@ def test_direct_indirect_identical_query_outputs():
 
 
 def test_queries_never_touch_update_words():
+    class CountingCell(AtomicCell):
+        __slots__ = ()
+        reads = 0
+
+        def read(self):
+            CountingCell.reads += 1
+            return super().read()
+
     t = LeafBst()
     rng = random.Random(5)
     for _ in range(300):
         t.insert(rng.randint(0, 500))
-    before = t.update_reads[0]
+    stack = [t._root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, BstInternal):
+            node.update = CountingCell(node.update.read())
+            stack += [node.left.read(), node.right.read()]
     t.range_query(0, 500)
     t.range_sum(10, 90)
     t.succ(50, 10)
     t.find_if(0, 400, lambda k: k % 7 == 0)
     t.multisearch([1, 2, 3])
     t.height()
-    assert t.update_reads[0] == before
+    assert CountingCell.reads == 0
+    t.find(250)                     # positive control: searches read them
+    assert CountingCell.reads > 0
 
 
 def test_recorded_once_holds_across_workload():
@@ -195,6 +207,22 @@ def test_randomized_concurrent_windows_accepted(structure):
                     windows=40)
     assert report.rejected == 0, report.first_witness
     assert report.accepted > 0
+
+
+@pytest.mark.parametrize("mode", ["indirect", "direct", "plain"])
+def test_deep_tree_queries_match_oracle(mode):
+    """Ascending inserts build a 2000-deep path; no query may recurse."""
+    t, ref = LeafBst(mode=mode), SeqLeafBst(INF1, INF2)
+    for k in range(1, 2001):
+        assert t.insert(k) == ref.step(("insert", k))
+    assert t.range_query(0, 3000) == ref.step(("range", 0, 3000))
+    assert t.range_sum(500, 1500) == ref.step(("range_sum", 500, 1500))
+    assert t.succ(1990, 5) == ref.step(("succ", 1990, 5))
+    late = lambda k: k > 1998                         # noqa: E731
+    assert t.find_if(0, 3000, late) == ref.step(("findif", 0, 3000, late)) == 1999
+    assert t.multisearch([1, 2000, 2001]) == ref.step(("multisearch", [1, 2000, 2001]))
+    assert t.find(2000) == ref.step(("find", 2000))
+    assert t.height() == ref.step(("height",)) == 2000
 
 
 def test_plain_mode_baseline_works():

@@ -57,7 +57,7 @@ def test_get_next_skips_marked_at_cut():
     succ, marked = n2.next.read()
     assert not marked
     assert n2.next.cas((succ, False), (succ, True))   # mark without unlinking
-    with l._query() as h:
+    with l.epoch.query(l.camera) as h:
         assert l.get_next(n1, h).key == 3
 
 
@@ -66,7 +66,7 @@ def test_get_next_unmarked_successor():
     for k in (1, 2):
         l.insert(k)
     n1 = _node_with_key(l, 1)
-    with l._query() as h:
+    with l.epoch.query(l.camera) as h:
         assert l.get_next(n1, h).key == 2
 
 
@@ -79,7 +79,7 @@ def test_get_next_all_marked_reaches_sentinel():
         succ, m = node.next.read()
         assert node.next.cas((succ, False), (succ, True))
     n1 = _node_with_key(l, 1)
-    with l._query() as h:
+    with l.epoch.query(l.camera) as h:
         assert l.get_next(n1, h) is l.tail
 
 
