@@ -38,15 +38,16 @@ class AtomicCell:
     def cas(self, expected, new, on_success=None) -> bool:
         """Atomically set ``new`` iff the current value equals ``expected``.
 
-        ``on_success`` runs inside the critical section, before the new value
-        becomes visible to lock-free readers, and must not perform shared
-        accesses; it exists for bookkeeping that must be atomic with the swap.
+        ``on_success(expected, new)`` runs inside the critical section, before
+        the new value becomes visible to lock-free readers, and must not
+        perform shared accesses; it exists for bookkeeping that must be atomic
+        with the swap.
         """
         _gate.step()
         with self._lock:
             if self._value == expected:
                 if on_success is not None:
-                    on_success()
+                    on_success(expected, new)
                 self._value = new
                 return True
             return False

@@ -99,6 +99,11 @@ class IInfo:
         self.new_internal = new_internal
         self._poisoned = False
 
+    def _free(self) -> None:
+        # Freed only after its flag was cleared: a CLEAN word that still
+        # names it is never helped, so its fields are never read again.
+        self.p = self.l = self.new_internal = None
+
     def _poison(self) -> None:
         self._poisoned = True
 
@@ -112,6 +117,10 @@ class DInfo:
         self.l = l
         self.pupdate = pupdate
         self._poisoned = False
+
+    def _free(self) -> None:
+        # As IInfo; a MARK naming it stays only on nodes already unlinked.
+        self.gp = self.p = self.l = self.pupdate = None
 
     def _poison(self) -> None:
         self._poisoned = True

@@ -7,11 +7,25 @@ bag for epoch ``e`` may be emptied once every non-quiescent announcement is
 at least ``e + 2``; the winner of an epoch advance sweeps inline, and
 ``collect`` performs the same certified sweep without advancing.
 
-Freeing is simulated: Python reclaims unreferenced objects, so ``_free``
-only severs references - unless poisoning is armed, in which case freed
-records are stamped with a trap pattern and any later algorithm read of them
-raises :class:`PoisonedReadError`.  The stress suites assert that the trap
-never fires.
+Freeing is simulated: Python reclaims unreferenced objects, so freeing a
+record runs its ``_free`` hook, which severs what the record would otherwise
+keep alive.  A version record (an indirect ``VNode`` or a direct
+``Versionable`` node) cuts its version link, so history older than a freed
+version becomes garbage; each cell's version list then holds at most its
+head, its displaced records not yet freed and the one freed record that ends
+the list.  A BST info record drops its node references.  With poisoning
+armed, ``_poison`` runs instead: the record is stamped with a trap pattern
+(its link included) and any later algorithm read of it raises
+:class:`PoisonedReadError`.  The stress suites assert that the trap never
+fires.
+
+Cutting a link is safe by the epoch argument below: a record retired in
+epoch ``e`` is freed only once every pinned thread announced at least
+``e + 2``, so each of them pinned after the record was displaced.  Its
+snapshot handle is then no older than the record's timestamp, which the
+displacing ``cas`` installed before the swap, so its walks stop at the
+record at the latest and never follow the cut link.  A walk that does reach
+one (a handle used without its pin) raises instead of returning a value.
 
 Queries must pin for their whole snapshot lifetime, and a thread holds at
 most one snapshot handle at a time; every data-structure query runs inside
@@ -223,11 +237,11 @@ class EpochManager:
             for rec in records:
                 self._retired_ids.discard(id(rec))
             self.freed_total += len(records)
-        if POISON_ON:
-            for rec in records:
-                poison = getattr(rec, "_poison", None)
-                if poison is not None:
-                    poison()
+        hook = "_poison" if POISON_ON else "_free"
+        for rec in records:
+            free = getattr(rec, hook, None)
+            if free is not None:
+                free()
 
     @property
     def epoch(self) -> int:

@@ -10,6 +10,12 @@ whose timestamp does not exceed it.
 
 ``read`` and ``cas`` touch a constant number of shared locations regardless
 of history length; ``read_snapshot`` walks one link per newer version.
+
+Reclamation frees displaced records and cuts their link to None, the same
+end marker the oldest record carries, so a walk that reaches a cut link
+raises :class:`SnapshotPreconditionError` rather than returning a value.  A
+walk under the pin its handle was taken with never does (see
+:mod:`chronocas.reclaim`).
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ _mutations: frozenset = frozenset()
 
 
 class SnapshotPreconditionError(RuntimeError):
-    """read_snapshot was given a handle older than the cell."""
+    """read_snapshot was given a handle older than the cell's retained
+    history: older than the cell, or older than a version already freed."""
 
 
 class VNode:
@@ -40,6 +47,9 @@ class VNode:
         self.nextv = nextv
         self.ts = TBD
         self._poisoned = False
+
+    def _free(self) -> None:
+        self.nextv = None
 
     def _poison(self) -> None:
         self._poisoned = True
@@ -60,7 +70,7 @@ class VersionedCas:
         self._eq = eq or operator.eq
         node = VNode(initial, None)
         self._head = AtomicCell(node)
-        self._log = [node] if instrument.ENABLED else None
+        self._log = instrument.VersionLog(None, node) if instrument.ENABLED else None
         self.succ_cas_count = 0
         self.max_success = max_success
         self._init_ts(node)
@@ -70,7 +80,8 @@ class VersionedCas:
 
     def _init_ts(self, node: VNode) -> None:
         """Install a current timestamp into ``node`` unless one is there."""
-        if _gate_read_ts(node) == TBD:
+        _gate.step()
+        if node.ts == TBD:
             cur = self._camera.peek_timestamp()
             field_cas(node, "ts", TBD, cur)
 
@@ -93,8 +104,7 @@ class VersionedCas:
         if self._eq(new_val, old_val):
             return True
         new_node = VNode(new_val, head)
-        if self._head.cas(head, new_node,
-                          on_success=lambda: self._appended(head, new_node)):
+        if self._head.cas(head, new_node, on_success=self._appended):
             self._init_ts(new_node)
             return True
         # The unpublished record was never visible; plain disposal.
@@ -116,7 +126,7 @@ class VersionedCas:
     def read_snapshot(self, handle: int):
         head = self._head.read()
         self._init_ts(head)
-        log_len = len(self._log) if self._log is not None else 0
+        view = self._log.view() if self._log is not None else None
         node = head
         hops = 0
         poison = reclaim.POISON_ON
@@ -126,13 +136,14 @@ class VersionedCas:
             nxt = node.nextv
             if nxt is None:
                 raise SnapshotPreconditionError(
-                    f"handle {handle} predates this cell (born at {self._birth})")
+                    f"handle {handle} predates this cell's retained history "
+                    f"(born at {self._birth}; older versions may be freed)")
             node = nxt
             hops += 1
         if poison:
             reclaim.check_live(node)
         if instrument.ENABLED:
-            instrument.note_walk(self._log, log_len, handle, hops)
+            instrument.note_walk(view, handle, hops)
         return node.val
 
     # -- introspection (tests, bench) -------------------------------------------
@@ -150,8 +161,3 @@ class VersionedCas:
         """Retire the current head record with its owning node."""
         if self._reclaim is not None:
             self._reclaim.retire(self._head.read())
-
-
-def _gate_read_ts(node: VNode) -> int:
-    _gate.step()
-    return node.ts

@@ -7,18 +7,37 @@ attempts publishing a node name the same expected value; under that
 discipline version lists behave as if disjoint and no walk ever follows the
 version link of the oldest node of its own list.
 
+Reclamation frees displaced nodes and cuts their link back to
+``INVALID_NEXTV``.  A walk that reaches a cut link raises
+:class:`~chronocas.vcas.SnapshotPreconditionError`; it never mistakes the cut
+for a None value.  A walk under the pin its handle was taken with never
+reaches one (see :mod:`chronocas.reclaim`).
+
 Values are node references (or None); comparison is identity.
 """
 
 from __future__ import annotations
 
+import threading
+
 from . import _gate, instrument, reclaim
 from .atomic import AtomicCell, field_cas, _install_lock
 from .camera import TBD, Camera
+from .vcas import SnapshotPreconditionError
 
 # Program-lifetime dummy marking "version link not yet initialized".
 # Never dereferenced; distinguishes a fresh node from one linked to None.
 INVALID_NEXTV = object()
+
+
+class _Republished(threading.local):
+    """Per thread: the node a publication found already published, for the
+    publishing ``cas`` to raise on once its swap is done."""
+
+    node = None
+
+
+_republished = _Republished()
 
 
 class RecordedOnceError(RuntimeError):
@@ -36,6 +55,9 @@ class Versionable:
         self._published = False
         self._poisoned = False
 
+    def _free(self) -> None:
+        self.nextv = INVALID_NEXTV
+
     def _poison(self) -> None:
         self._poisoned = True
         self.nextv = reclaim._TRAP
@@ -44,17 +66,21 @@ class Versionable:
 class DirectVersionedCas:
     """Atomic node link whose history is threaded through the nodes."""
 
-    __slots__ = ("_head", "_camera", "_origin", "succ_cas_count", "_log")
+    __slots__ = ("_head", "_camera", "_floor_ts", "succ_cas_count", "_log")
 
     def __init__(self, initial, camera: Camera) -> None:
         self._camera = camera
         self._head = AtomicCell(initial)
-        self._origin = initial
         self.succ_cas_count = 0
-        self._log = [] if instrument.ENABLED else None
+        self._log = instrument.VersionLog(INVALID_NEXTV) if instrument.ENABLED else None
+        # Timestamp of the oldest node of this cell's own list.  A walk for
+        # an older handle would follow that node's link into another list;
+        # keeping the timestamp rather than the node lets it be reclaimed.
+        self._floor_ts = -1
         if initial is not None:
             self.init_nextv(initial)
             self.init_ts(initial)
+            self._floor_ts = initial.ts
 
     def init_nextv(self, node) -> None:
         """Normalize an uninitialized version link to None."""
@@ -84,10 +110,9 @@ class DirectVersionedCas:
         # swing the head.  The link CAS can lose only to a normalization of
         # an initialized-but-unpublished node.
         field_cas(new_node, "nextv", INVALID_NEXTV, head)
-        state = {}
-        if self._head.cas(head, new_node,
-                          on_success=lambda: self._appended(head, new_node, state)):
-            if state.get("republished"):
+        if self._head.cas(head, new_node, on_success=self._appended):
+            if _republished.node is new_node:
+                _republished.node = None
                 raise RecordedOnceError(
                     f"{type(new_node).__name__} published twice")
             self.init_ts(new_node)
@@ -97,7 +122,7 @@ class DirectVersionedCas:
             self.init_ts(cur)
         return False
 
-    def _appended(self, old, new, state) -> None:
+    def _appended(self, old, new) -> None:
         # Displaced nodes are retired by the owning structure: in a
         # recorded-once client the displaced head is exactly the node the
         # structure just unlinked.
@@ -106,41 +131,34 @@ class DirectVersionedCas:
             self._log.append(new)
         with _install_lock:
             if new._published:
-                state["republished"] = True
+                _republished.node = new
             new._published = True
 
     def read_snapshot(self, handle: int):
         node = self._head.read()
         if node is not None:
             self.init_ts(node)
-        log_len = len(self._log) if self._log is not None else 0
+            if handle < self._floor_ts:
+                raise SnapshotIsolationError(
+                    "walk attempted to leave this cell's own version list")
+        view = self._log.view() if self._log is not None else None
         hops = 0
         poison = reclaim.POISON_ON
         while node is not None and node.ts > handle:
             if poison:
                 reclaim.check_live(node)
-            if node is self._origin:
-                raise SnapshotIsolationError(
-                    "walk attempted to leave this cell's own version list")
             nxt = node.nextv
-            assert nxt is not INVALID_NEXTV
+            if nxt is INVALID_NEXTV:
+                raise SnapshotPreconditionError(
+                    f"handle {handle} predates this cell's retained history "
+                    f"(a {type(node).__name__} on its walk was freed)")
             node = nxt
             hops += 1
         if poison and node is not None:
             reclaim.check_live(node)
         if instrument.ENABLED:
-            instrument.note_walk(self._log, log_len, handle, hops)
+            instrument.note_walk(view, handle, hops)
         return node
-
-    def version_count(self) -> int:
-        n = 0
-        node = self._head.read()
-        while node is not None and node is not INVALID_NEXTV:
-            n += 1
-            if node is self._origin:
-                break
-            node = node.nextv
-        return n
 
 
 class SnapshotIsolationError(RuntimeError):

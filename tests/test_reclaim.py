@@ -1,11 +1,13 @@
 import random
+import sys
 import threading
 
 import pytest
 
-from chronocas import Camera, EpochManager, PoisonedReadError, ReclaimError
+from chronocas import (INVALID_NEXTV, Camera, DirectVersionedCas, EpochManager,
+                       PoisonedReadError, ReclaimError, Versionable, instrument)
 from chronocas import reclaim as reclaim_mod
-from chronocas.vcas import VersionedCas
+from chronocas.vcas import SnapshotPreconditionError, VersionedCas
 
 
 class Record:
@@ -193,3 +195,174 @@ def test_random_pin_unpin_stress_never_reads_freed(poisoning):
         t.join()
     assert not errors
     assert mgr.freed_total <= mgr.retired_total
+
+
+# -- freeing releases version history ------------------------------------------
+
+
+class Node(Versionable):
+    __slots__ = ("payload",)
+
+    def __init__(self, payload):
+        super().__init__()
+        self.payload = payload
+
+
+def _free_everything(mgr):
+    for _ in range(3):
+        mgr.try_advance_epoch()
+    mgr.collect()
+    assert mgr.live_retired == 0
+
+
+def _indirect_history(n):
+    """An indirect cell after ``n`` updates, its displaced records (oldest
+    first) and a handle older than all of them."""
+    cam = Camera()
+    mgr = EpochManager(advance_every=0)
+    cell = VersionedCas(0, cam, mgr)
+    h = cam.take_snapshot()
+    displaced = []
+    for i in range(1, n + 1):
+        displaced.append(cell._head.read())
+        cam.take_snapshot()
+        assert cell.cas(i - 1, i)
+    return cam, mgr, cell, displaced, h
+
+
+def _direct_history(n):
+    """The same for a direct cell; the client retires each displaced node."""
+    cam = Camera()
+    mgr = EpochManager(advance_every=0)
+    cur = Node(0)
+    cell = DirectVersionedCas(cur, cam)
+    h = cam.take_snapshot()
+    displaced = []
+    for i in range(1, n + 1):
+        cam.take_snapshot()
+        nxt = Node(i)
+        assert cell.cas(cur, nxt)
+        displaced.append(cur)
+        mgr.retire(cur)
+        cur = nxt
+    return cam, mgr, cell, displaced, h
+
+
+def test_free_cuts_indirect_links_without_poisoning():
+    _, mgr, cell, displaced, _ = _indirect_history(5)
+    assert cell.version_count() == 6
+    _free_everything(mgr)
+    assert all(rec.nextv is None and not rec._poisoned for rec in displaced)
+    assert [rec.val for rec in displaced] == [0, 1, 2, 3, 4]
+    assert cell.version_count() == 2     # head plus the freed record ending it
+    assert cell.read() == 5
+
+
+def test_free_cuts_direct_links_without_poisoning():
+    _, mgr, cell, displaced, _ = _direct_history(5)
+    _free_everything(mgr)
+    assert all(n.nextv is INVALID_NEXTV and not n._poisoned for n in displaced)
+    assert cell.read().payload == 5
+
+
+def test_poisoned_free_still_traps_links(poisoning):
+    _, mgr, _, displaced, _ = _indirect_history(3)
+    _free_everything(mgr)
+    assert all(rec.nextv is reclaim_mod._TRAP for rec in displaced)
+    _, mgr, _, displaced, _ = _direct_history(3)
+    _free_everything(mgr)
+    assert all(n.nextv is reclaim_mod._TRAP for n in displaced)
+
+
+@pytest.mark.parametrize("history", [_indirect_history, _direct_history],
+                         ids=["indirect", "direct"])
+def test_walk_across_freed_record_raises(history):
+    """A handle kept without its pin would walk into freed history: the
+    walk must fail loudly, never return the cut link as a value."""
+    cam, mgr, cell, _, stale = history(5)
+    fresh = cam.take_snapshot()
+    _free_everything(mgr)
+    with pytest.raises(SnapshotPreconditionError, match="retained history"):
+        cell.read_snapshot(stale)
+    current = cell.read_snapshot(fresh)
+    assert (current if history is _indirect_history else current.payload) == 5
+
+
+def test_trimmed_log_keeps_the_exact_bound():
+    """The instrumented log drops its freed prefix but keeps absolute
+    length, and the bound it yields is the one the full log would give."""
+    instrument.enable(True)
+    instrument.reset()
+    cam, mgr, cell, _, _ = _indirect_history(200)
+    _free_everything(mgr)
+    for i in range(200, 300):
+        assert cell.cas(i, i + 1)
+    assert len(cell._log) == cell.succ_cas_count + 1 == 301
+    assert cell._log.view()[1] <= 101     # every freed version dropped
+    with mgr.pinned():
+        h = mgr.snapshot(cam)
+        for i in range(301, 304):
+            cam.take_snapshot()
+            assert cell.cas(i - 1, i)
+        view = cell._log.view()
+        assert cell.read_snapshot(h) == 300
+        assert instrument.violation_count() == 0
+        instrument.note_walk(view, h, 3)      # three newer versions: allowed
+        assert instrument.violation_count() == 0
+        instrument.note_walk(view, h, 4)      # one hop too many: caught
+        assert instrument.violation_count() == 1
+        mgr.release_snapshot(h)
+
+
+def test_pinned_walks_never_reach_cut_links():
+    """Poisoning off: updates free history (cutting links) while pinned
+    snapshot walks run.  No walk may reach a cut link, every reader sees
+    each cell's value never decrease, the step bound holds on the trimmed
+    logs, and each chain stays within the unfreed records plus two."""
+    instrument.enable(True)
+    instrument.reset()
+    old_switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        mgr = EpochManager(advance_every=4)
+        cam = Camera()
+        cells = [VersionedCas(0, cam, mgr) for _ in range(2)]
+        errors = []
+
+        def writer(cell):
+            try:
+                for _ in range(1500):
+                    with mgr.pinned():
+                        val = cell.read()
+                        cell.cas(val, val + 1)
+            except Exception as exc:   # reported by the main thread
+                errors.append(exc)
+
+        def reader():
+            last = [0, 0]
+            try:
+                for _ in range(1500):
+                    with mgr.pinned():
+                        h = mgr.snapshot(cam)
+                        seen = [c.read_snapshot(h) for c in cells]
+                        mgr.release_snapshot(h)
+                    if any(s < l for s, l in zip(seen, last)):
+                        errors.append(AssertionError(f"{seen} after {last}"))
+                    last = seen
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = ([threading.Thread(target=writer, args=(c,)) for c in cells]
+                   + [threading.Thread(target=reader) for _ in range(2)])
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors[:3]
+        assert mgr.freed_total > 0
+        assert instrument.violation_count() == 0, instrument.violations()
+        for cell in cells:
+            assert cell.version_count() <= mgr.live_retired + 2
+    finally:
+        sys.setswitchinterval(old_switch)
