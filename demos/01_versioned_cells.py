@@ -25,10 +25,10 @@ print("balance on payday cut:  ", balance.read_snapshot(payday))
 # A failed compare-and-swap changes nothing, and equal-value writes do not
 # even grow the history:
 print("stale cas accepted?", balance.cas(40, 0))
-versions = balance.version_count()
+versions = balance.succ_cas_count
 balance.cas(140, 140)
 print("history length unchanged by equal-value cas:",
-      balance.version_count() == versions)
+      balance.succ_cas_count == versions)
 
 # Handles are totally ordered: older handles always see prefix states.
 h = [camera.take_snapshot()]

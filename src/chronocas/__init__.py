@@ -12,13 +12,12 @@ benchmark/stress CLI (``chronocas-bench``).
 
 from .atomic import AtomicCell, PlainCell
 from .bst import LeafBst
-from .camera import Camera, TBD
+from .camera import INVALID_NEXTV, TBD, Camera
 from .harris_list import NEG_INF, POS_INF, HarrisList
 from .msqueue import MsQueue
 from .reclaim import EpochManager, PoisonedReadError, ReclaimError
 from .vcas import SnapshotPreconditionError, VersionedCas, VNode
-from .vcas_direct import (INVALID_NEXTV, DirectVersionedCas, RecordedOnceError,
-                          Versionable)
+from .vcas_direct import DirectVersionedCas, RecordedOnceError, Versionable
 
 __all__ = [
     "AtomicCell", "PlainCell", "Camera", "TBD",

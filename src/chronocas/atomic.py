@@ -61,13 +61,12 @@ class PlainCell:
     ``read_snapshot`` just returns the current value.
     """
 
-    __slots__ = ("_value", "_lock", "succ_cas_count", "max_success")
+    __slots__ = ("_value", "_lock", "succ_cas_count")
 
-    def __init__(self, value, max_success=None) -> None:
+    def __init__(self, value) -> None:
         self._value = value
         self._lock = threading.Lock()
         self.succ_cas_count = 0
-        self.max_success = max_success
 
     def read(self):
         _gate.step()

@@ -13,6 +13,11 @@ from .atomic import AtomicCell
 # until helping installs a real one.  Valid timestamps are strictly smaller.
 TBD = (1 << 64) - 1
 
+# Reserved version link meaning "no older version here": a fresh direct node
+# before its publication, and any version record reclamation has freed.  A
+# program-lifetime dummy, never dereferenced.
+INVALID_NEXTV = object()
+
 # Well before TBD; a counter anywhere near this indicates a runaway loop.
 _COUNTER_CEILING = 1 << 63
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import bisect
 import threading
 
-from .camera import TBD
+from .camera import INVALID_NEXTV, TBD
 
 ENABLED = False
 
@@ -76,26 +76,26 @@ class VersionLog:
     leaves one) stays a record.
 
     Entries up to the newest version whose link reclamation has cut (to
-    ``cut``, or to the trap when poisoning) are dropped.  A freed version was
-    displaced before any handle a pinned walk can still hold was taken, and
-    its timestamp was installed before that, so it and every older entry sit
-    at or below the handle and never count toward a bound.  ``len`` still
-    counts dropped entries.  The log runs in step with the cell's version
-    list, so the newest freed version is found by walking the list from the
-    head, each time the log has doubled since the last walk.
+    ``INVALID_NEXTV``, or to the trap when poisoning) are dropped.  A freed
+    version was displaced before any handle a pinned walk can still hold was
+    taken, and its timestamp was installed before that, so it and every
+    older entry sit at or below the handle and never count toward a bound.
+    ``len`` still counts dropped entries.  The log runs in step with the
+    cell's version list, so the newest freed version is found by walking the
+    list from the head, each time the log has doubled since the last walk.
 
     Appends run inside the cell's critical section.  A trim swaps in a new
     entry list rather than shrinking the old one, so a walk's :meth:`view`
     stays a stable prefix.
     """
 
-    __slots__ = ("_state", "_cut", "_trim_at")
+    __slots__ = ("_state", "_trim_at")
 
     _MIN_TRIM = 8
 
-    def __init__(self, cut, first=None) -> None:
+    def __init__(self, first) -> None:
+        """``first`` is the cell's initial record, or None if it has none."""
         self._state = (0, [] if first is None else [first])  # (base, entries)
-        self._cut = cut
         self._trim_at = self._MIN_TRIM
 
     def append(self, new) -> None:
@@ -110,10 +110,10 @@ class VersionLog:
             self._trim(base, entries, new)
 
     def _trim(self, base: int, entries: list, node) -> None:
-        n, cut = len(entries), self._cut
+        n = len(entries)
         for newer in range(n):          # node is entries[n - 1 - newer]
             nxt = node.nextv
-            if nxt is cut or node._poisoned:
+            if nxt is INVALID_NEXTV or node._poisoned:
                 entries = entries[n - newer:]
                 self._state = (base + n - newer, entries)
                 break

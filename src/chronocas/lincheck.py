@@ -23,7 +23,7 @@ import threading
 from dataclasses import dataclass, field
 
 from . import _gate
-from .oracle import queue_answer, set_answer
+from .oracle import queue_answer, set_answer, vcas_answer
 
 
 class RecorderError(RuntimeError):
@@ -234,15 +234,11 @@ class VcasCheckerSpec:
     def apply(self, state, rec):
         log, bindings = state
         kind = rec.kind
-        if kind == "vread":
-            return state if log[-1] == rec.result else None
-        if kind == "vcas":
-            old, new = rec.args
-            if rec.result is True:
-                if log[-1] != old:
-                    return None
-                return state if new == old else (log + (new,), bindings)
-            return state if log[-1] != old else None
+        if kind in ("vread", "vcas"):
+            answer, commit = vcas_answer(log[-1], (kind, *rec.args))
+            if answer != rec.result:
+                return None
+            return (log + (rec.args[1],), bindings) if commit else state
         if kind == "snapshot":
             tag = rec.result
             bound = dict(bindings)
@@ -260,10 +256,8 @@ class VcasCheckerSpec:
 
     def apply_pending(self, state, rec):
         log, bindings = state
-        old, new = rec.args
-        if log[-1] == old and new != old:
-            return (log + (new,), bindings)
-        return state
+        _, commit = vcas_answer(log[-1], (rec.kind, *rec.args))
+        return (log + (rec.args[1],), bindings) if commit else state
 
 
 class _CollectionCheckerSpec:

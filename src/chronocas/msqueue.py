@@ -48,7 +48,7 @@ class MsQueue:
     def _next_cell(self, value):
         if self._versioned_next:
             return VersionedCas(value, self.camera, self.epoch, max_success=1)
-        return PlainCell(value, max_success=1)
+        return PlainCell(value)
 
     # -- updates ---------------------------------------------------------------
 

@@ -3,12 +3,13 @@
 Three families: the versioned-cell spec (a committed-value log plus a
 logical clock), a FIFO queue, and ordered sets (one flat, one that also
 splices the leaf-oriented tree so the shape query height is defined).
-Every queue and set query is answered by one pure function of the abstract
-state, ``queue_answer`` or ``set_answer``; the sequential specs here and
-the checker specs in :mod:`chronocas.lincheck` both call them, so each
-query's meaning is written once.  ``replay`` folds ``step`` over a
-single-threaded history; the concurrent suites diff structure outputs
-against these, so nothing here may import the concurrent modules.
+Every cell operation and every queue and set query is answered by one pure
+function of the abstract state, ``vcas_answer``, ``queue_answer`` or
+``set_answer``; the sequential specs here and the checker specs in
+:mod:`chronocas.lincheck` both call them, so each operation's meaning is
+written once.  ``replay`` folds ``step`` over a single-threaded history;
+the concurrent suites diff structure outputs against these, so nothing here
+may import the concurrent modules.
 
 Snapshot handles follow the concrete counter behavior: every snapshot
 returns the clock and bumps it, so replayed handles line up one-for-one with
@@ -42,16 +43,11 @@ class SeqVcas:
 
     def step(self, op):
         kind = op[0]
-        if kind == "vread":
-            return self.committed_log[-1][0]
-        if kind == "vcas":
-            _, old, new = op
-            cur = self.committed_log[-1][0]
-            if cur != old:
-                return False
-            if new != old:
-                self.committed_log.append((new, self.clock))
-            return True
+        if kind in ("vread", "vcas"):
+            answer, commit = vcas_answer(self.committed_log[-1][0], op)
+            if commit:
+                self.committed_log.append((op[2], self.clock))
+            return answer
         if kind == "snapshot":
             handle = self.clock
             self.clock += 1
@@ -68,8 +64,23 @@ class SeqVcas:
 
 
 # ---------------------------------------------------------------------------
-# Query answers (shared with the lincheck checker specs)
+# Answers (shared with the lincheck checker specs)
 # ---------------------------------------------------------------------------
+
+def vcas_answer(current, op):
+    """Answer of a ``vread`` or ``vcas`` on a cell holding ``current``, and
+    whether it commits the ``vcas``'s new value as a version.  A ``vcas``
+    whose new value equals its expected one succeeds without committing."""
+    kind = op[0]
+    if kind == "vread":
+        return current, False
+    if kind == "vcas":
+        _, old, new = op
+        if current != old:
+            return False, False
+        return True, new != old
+    raise OracleError(f"unknown operation {kind!r}")
+
 
 def queue_answer(items, op):
     """Answer of a queue query on ``items``, listed head to tail."""

@@ -10,14 +10,15 @@ at least ``e + 2``; the winner of an epoch advance sweeps inline, and
 Freeing is simulated: Python reclaims unreferenced objects, so freeing a
 record runs its ``_free`` hook, which severs what the record would otherwise
 keep alive.  A version record (an indirect ``VNode`` or a direct
-``Versionable`` node) cuts its version link, so history older than a freed
-version becomes garbage; each cell's version list then holds at most its
-head, its displaced records not yet freed and the one freed record that ends
-the list.  A BST info record drops its node references.  With poisoning
-armed, ``_poison`` runs instead: the record is stamped with a trap pattern
-(its link included) and any later algorithm read of it raises
-:class:`PoisonedReadError`.  The stress suites assert that the trap never
-fires.
+``Versionable`` node, both ``vcas.VersionRecord``) cuts its version link to
+``INVALID_NEXTV``, the one value that ends a version list early, so history
+older than a freed version becomes garbage; each cell's version list then
+holds at most its head, its displaced records not yet freed and the one
+freed record that ends the list.  A BST info record drops its node
+references.  With poisoning armed, ``_poison`` runs instead: the record is
+stamped with a trap pattern (its link included) and any later algorithm
+read of it raises :class:`PoisonedReadError`.  The stress suites assert
+that the trap never fires.
 
 Cutting a link is safe by the epoch argument below: a record retired in
 epoch ``e`` is freed only once every pinned thread announced at least

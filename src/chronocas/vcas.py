@@ -1,21 +1,21 @@
-"""Versioned compare-and-swap cell (indirect form).
+"""Versioned compare-and-swap: one versioned pointer, two cell forms.
 
-The cell keeps its history as a singly-linked list of version records,
-newest first.  A successful ``cas`` pushes a record whose timestamp starts
-as TBD; the timestamp is installed afterwards by ``_init_ts``, and every
-operation that encounters a TBD head helps install it first.  That helping
-is what makes append + timestamp-read + timestamp-install appear atomic, so
-``read_snapshot`` can resolve any handle by walking to the first record
-whose timestamp does not exceed it.
+A cell keeps its history as a singly-linked list of version records, newest
+first.  A successful ``cas`` pushes a record whose timestamp starts as TBD;
+the winner installs it afterwards with ``init_ts``, and every operation that
+meets a TBD head helps install it first.  That helping makes append +
+timestamp-read + timestamp-install appear atomic, so a snapshot read
+resolves any handle by walking to the first record stamped at or below it.
+:class:`VersionedPointer` holds that protocol once; :class:`VersionedCas`
+wraps each value in a :class:`VNode`, and
+:class:`~chronocas.vcas_direct.DirectVersionedCas` threads the list through
+the user's nodes.  ``read`` and ``cas`` touch a constant number of shared
+locations; a snapshot read walks one link per newer version.
 
-``read`` and ``cas`` touch a constant number of shared locations regardless
-of history length; ``read_snapshot`` walks one link per newer version.
-
-Reclamation frees displaced records and cuts their link to None, the same
-end marker the oldest record carries, so a walk that reaches a cut link
-raises :class:`SnapshotPreconditionError` rather than returning a value.  A
-walk under the pin its handle was taken with never does (see
-:mod:`chronocas.reclaim`).
+A handle older than the cell's first record is rejected before any walk,
+and reclamation cuts a freed record's link to :data:`INVALID_NEXTV`, which a
+walk raises on (under its handle's pin it never reaches one, see
+:mod:`chronocas.reclaim`); both raise :class:`SnapshotPreconditionError`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import operator
 
 from . import _gate, instrument, reclaim
 from .atomic import AtomicCell, field_cas
-from .camera import TBD, Camera
+from .camera import INVALID_NEXTV, TBD, Camera
 
 # Test-only fault injection:  "no_read_help" drops the helping step from
 # read(); "no_init_before_swing" drops the pre-append helping step from
@@ -37,10 +37,23 @@ class SnapshotPreconditionError(RuntimeError):
     history: older than the cell, or older than a version already freed."""
 
 
-class VNode:
-    """One version: immutable value, write-once timestamp, immutable link."""
+class VersionRecord:
+    """Write-once timestamp and link to the next older version."""
 
-    __slots__ = ("val", "nextv", "ts", "_poisoned")
+    __slots__ = ("ts", "nextv", "_poisoned")
+
+    def _free(self) -> None:
+        self.nextv = INVALID_NEXTV
+
+    def _poison(self) -> None:
+        self._poisoned = True
+        self.nextv = reclaim._TRAP
+
+
+class VNode(VersionRecord):
+    """One version of an indirect cell: immutable value, immutable link."""
+
+    __slots__ = ("val",)
 
     def __init__(self, val, nextv) -> None:
         self.val = val
@@ -48,71 +61,107 @@ class VNode:
         self.ts = TBD
         self._poisoned = False
 
-    def _free(self) -> None:
-        self.nextv = None
-
     def _poison(self) -> None:
-        self._poisoned = True
+        VersionRecord._poison(self)
         self.val = reclaim._TRAP
-        self.nextv = reclaim._TRAP
 
 
-class VersionedCas:
-    """Head of a version list plus the camera it is synchronized with."""
+class VersionedPointer:
+    """Head of a version list plus the camera it is synchronized with.
 
-    __slots__ = ("_head", "_camera", "_reclaim", "_eq", "_birth", "_log",
-                 "succ_cas_count", "max_success")
+    Subclasses supply ``_appended(old, new)``, the bookkeeping that runs
+    inside the head cell's critical section when a ``cas`` swaps.
+    """
+
+    __slots__ = ("_head", "_camera", "_floor_ts", "_log", "succ_cas_count")
+
+    def __init__(self, first, camera: Camera) -> None:
+        # ``first`` is None only for an empty direct cell: no floor then.
+        self._camera = camera
+        self._head = AtomicCell(first)
+        self._log = instrument.VersionLog(first) if instrument.ENABLED else None
+        self.succ_cas_count = 0
+        self._floor_ts = -1
+        if first is not None:
+            self.init_ts(first)
+            self._floor_ts = first.ts
+
+    def init_ts(self, node) -> None:
+        """Install a current timestamp into ``node`` unless one is there.
+        Exposed: racing helpers are part of the contract."""
+        _gate.step()
+        if node.ts == TBD:
+            field_cas(node, "ts", TBD, self._camera.peek_timestamp())
+
+    def _swap(self, head, new) -> bool:
+        """Swing the head from ``head`` to ``new``.  The winner installs its
+        own timestamp; a loser helps whatever head beat it."""
+        if self._head.cas(head, new, on_success=self._appended):
+            self.init_ts(new)
+            return True
+        cur = self._head.read()
+        if cur is not None:
+            self.init_ts(cur)
+        return False
+
+    def _walk(self, handle: int):
+        """The record (or None) this cell held at ``handle``."""
+        if handle < self._floor_ts:
+            raise SnapshotPreconditionError(
+                f"handle {handle} predates this cell "
+                f"(its first version is stamped {self._floor_ts})")
+        node = self._head.read()
+        if node is not None:
+            self.init_ts(node)
+        view = self._log.view() if self._log is not None else None
+        hops = 0
+        poison = reclaim.POISON_ON
+        while node is not None and node.ts > handle:
+            if poison:
+                reclaim.check_live(node)
+            node = node.nextv
+            if node is INVALID_NEXTV:
+                raise SnapshotPreconditionError(
+                    f"handle {handle} predates this cell's retained history "
+                    f"(a version on its walk was freed)")
+            hops += 1
+        if poison and node is not None:
+            reclaim.check_live(node)
+        if instrument.ENABLED:
+            instrument.note_walk(view, handle, hops)
+        return node
+
+
+class VersionedCas(VersionedPointer):
+    """Versioned cell over arbitrary values, one :class:`VNode` per version."""
+
+    __slots__ = ("_reclaim", "_eq", "max_success")
 
     def __init__(self, initial, camera: Camera, reclaim_mgr=None, eq=None,
                  max_success=None) -> None:
-        self._camera = camera
         self._reclaim = reclaim_mgr
         self._eq = eq or operator.eq
-        node = VNode(initial, None)
-        self._head = AtomicCell(node)
-        self._log = instrument.VersionLog(None, node) if instrument.ENABLED else None
-        self.succ_cas_count = 0
         self.max_success = max_success
-        self._init_ts(node)
-        self._birth = camera.peek_timestamp()
-
-    # -- helping -------------------------------------------------------------
-
-    def _init_ts(self, node: VNode) -> None:
-        """Install a current timestamp into ``node`` unless one is there."""
-        _gate.step()
-        if node.ts == TBD:
-            cur = self._camera.peek_timestamp()
-            field_cas(node, "ts", TBD, cur)
-
-    init_ts = _init_ts  # exposed: racing helpers are part of the contract
-
-    # -- current-state operations ---------------------------------------------
+        super().__init__(VNode(initial, None), camera)
 
     def read(self):
         head = self._head.read()
         if "no_read_help" not in _mutations:
-            self._init_ts(head)
+            self.init_ts(head)
         return head.val
 
     def cas(self, old_val, new_val) -> bool:
         head = self._head.read()
         if "no_init_before_swing" not in _mutations:
-            self._init_ts(head)
+            self.init_ts(head)
         if not self._eq(head.val, old_val):
             return False
         if self._eq(new_val, old_val):
             return True
-        new_node = VNode(new_val, head)
-        if self._head.cas(head, new_node, on_success=self._appended):
-            self._init_ts(new_node)
-            return True
-        # The unpublished record was never visible; plain disposal.
-        self._init_ts(self._head.read())
-        return False
+        # A losing record was never visible; plain disposal.
+        return self._swap(head, VNode(new_val, head))
 
     def _appended(self, old: VNode, new: VNode) -> None:
-        # Runs inside the head cell's critical section.
         self.succ_cas_count += 1
         if self.max_success is not None and self.succ_cas_count > self.max_success:
             instrument.violation("cell exceeded its write-once budget")
@@ -121,41 +170,8 @@ class VersionedCas:
         if self._reclaim is not None:
             self._reclaim.retire(old)
 
-    # -- snapshot reads --------------------------------------------------------
-
     def read_snapshot(self, handle: int):
-        head = self._head.read()
-        self._init_ts(head)
-        view = self._log.view() if self._log is not None else None
-        node = head
-        hops = 0
-        poison = reclaim.POISON_ON
-        while node.ts > handle:
-            if poison:
-                reclaim.check_live(node)
-            nxt = node.nextv
-            if nxt is None:
-                raise SnapshotPreconditionError(
-                    f"handle {handle} predates this cell's retained history "
-                    f"(born at {self._birth}; older versions may be freed)")
-            node = nxt
-            hops += 1
-        if poison:
-            reclaim.check_live(node)
-        if instrument.ENABLED:
-            instrument.note_walk(view, handle, hops)
-        return node.val
-
-    # -- introspection (tests, bench) -------------------------------------------
-
-    def version_count(self) -> int:
-        """Length of the version list; not linearizable, test use only."""
-        n = 0
-        node = self._head.read()
-        while node is not None:
-            n += 1
-            node = node.nextv
-        return n
+        return self._walk(handle).val
 
     def retire_head(self) -> None:
         """Retire the current head record with its owning node."""

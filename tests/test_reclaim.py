@@ -8,6 +8,7 @@ from chronocas import (INVALID_NEXTV, Camera, DirectVersionedCas, EpochManager,
                        PoisonedReadError, ReclaimError, Versionable, instrument)
 from chronocas import reclaim as reclaim_mod
 from chronocas.vcas import SnapshotPreconditionError, VersionedCas
+from versions import version_chain
 
 
 class Record:
@@ -250,11 +251,12 @@ def _direct_history(n):
 
 def test_free_cuts_indirect_links_without_poisoning():
     _, mgr, cell, displaced, _ = _indirect_history(5)
-    assert cell.version_count() == 6
+    assert len(version_chain(cell)) == 6
     _free_everything(mgr)
-    assert all(rec.nextv is None and not rec._poisoned for rec in displaced)
+    assert all(rec.nextv is INVALID_NEXTV and not rec._poisoned
+               for rec in displaced)
     assert [rec.val for rec in displaced] == [0, 1, 2, 3, 4]
-    assert cell.version_count() == 2     # head plus the freed record ending it
+    assert len(version_chain(cell)) == 2   # head plus the freed record ending it
     assert cell.read() == 5
 
 
@@ -363,6 +365,6 @@ def test_pinned_walks_never_reach_cut_links():
         assert mgr.freed_total > 0
         assert instrument.violation_count() == 0, instrument.violations()
         for cell in cells:
-            assert cell.version_count() <= mgr.live_retired + 2
+            assert len(version_chain(cell)) <= mgr.live_retired + 2
     finally:
         sys.setswitchinterval(old_switch)

@@ -10,6 +10,7 @@ from chronocas.oracle import SeqVcas
 from chronocas.vcas import SnapshotPreconditionError, VNode
 from chronocas.lincheck import (Recorder, VcasCheckerSpec, check_linearizable,
                                 explore)
+from versions import version_chain
 
 
 def test_constructor_fresh_camera():
@@ -94,9 +95,9 @@ def test_cas_examples():
 def test_cas_equal_values_no_append():
     cam = Camera()
     v = VersionedCas(5, cam)
-    before = v.version_count()
+    before = version_chain(v)
     assert v.cas(5, 5) is True
-    assert v.version_count() == before
+    assert version_chain(v) == before
 
 
 def test_read_snapshot_three_versions():
@@ -167,11 +168,7 @@ def test_version_list_timestamps_sorted_and_tbd_only_at_head():
             cam.take_snapshot()
         assert v.cas(val, i)
         val = i
-        node = v._head.read()
-        stamps = []
-        while node is not None:
-            stamps.append(node.ts)
-            node = node.nextv
+        stamps = [node.ts for node in version_chain(v)]
         assert all(s != TBD for s in stamps[1:])
         valid = [s for s in stamps if s != TBD]
         assert valid == sorted(valid, reverse=True)

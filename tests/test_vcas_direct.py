@@ -1,7 +1,9 @@
 import pytest
 
 from chronocas import (Camera, DirectVersionedCas, INVALID_NEXTV,
-                       RecordedOnceError, Versionable, VersionedCas)
+                       RecordedOnceError, SnapshotPreconditionError,
+                       Versionable, VersionedCas)
+from chronocas._gate import StepCounter
 from chronocas.lincheck import Recorder, explore
 from chronocas.oracle import SeqVcas
 
@@ -83,6 +85,37 @@ def test_nil_at_cut_reads_nil():
     a = Node("a")
     assert cell.cas(None, a)
     assert cell.read_snapshot(h) is None
+
+
+@pytest.mark.parametrize("direct", [False, True], ids=["indirect", "direct"])
+def test_handle_below_floor_raises_without_walking(direct):
+    """Both forms reject a handle older than the cell's initial record up
+    front: no shared access, however long the history above it."""
+    cam = Camera()
+    stale = cam.take_snapshot()
+    cam.take_snapshot()
+    make = Node if direct else int
+    cur = make(0)
+    cell = (DirectVersionedCas if direct else VersionedCas)(cur, cam)
+    for i in range(1, 50):
+        nxt = make(i)
+        assert cell.cas(cur, nxt)
+        cur = nxt
+    with StepCounter() as steps:
+        with pytest.raises(SnapshotPreconditionError, match="predates this cell"):
+            cell.read_snapshot(stale)
+    assert steps.count == 0
+
+
+def test_nil_initial_reads_nil_before_the_cell():
+    """An empty direct cell has no floor: None is its value at every handle
+    before its first publication, including handles older than the cell."""
+    cam = Camera()
+    early = cam.take_snapshot()
+    cell = DirectVersionedCas(None, cam)
+    a, b = Node("a"), Node("b")
+    assert cell.cas(None, a) and cell.cas(a, b)
+    assert cell.read_snapshot(early) is None
 
 
 def test_stale_old_value_fails():
