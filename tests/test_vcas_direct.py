@@ -80,11 +80,13 @@ def test_snapshot_before_swap():
 
 def test_nil_at_cut_reads_nil():
     cam = Camera()
+    early = cam.take_snapshot()   # older than the cell: an empty cell has no floor
     cell = DirectVersionedCas(None, cam)
     h = cam.take_snapshot()
     a = Node("a")
     assert cell.cas(None, a)
     assert cell.read_snapshot(h) is None
+    assert cell.read_snapshot(early) is None
 
 
 @pytest.mark.parametrize("direct", [False, True], ids=["indirect", "direct"])
@@ -105,17 +107,6 @@ def test_handle_below_floor_raises_without_walking(direct):
         with pytest.raises(SnapshotPreconditionError, match="predates this cell"):
             cell.read_snapshot(stale)
     assert steps.count == 0
-
-
-def test_nil_initial_reads_nil_before_the_cell():
-    """An empty direct cell has no floor: None is its value at every handle
-    before its first publication, including handles older than the cell."""
-    cam = Camera()
-    early = cam.take_snapshot()
-    cell = DirectVersionedCas(None, cam)
-    a, b = Node("a"), Node("b")
-    assert cell.cas(None, a) and cell.cas(a, b)
-    assert cell.read_snapshot(early) is None
 
 
 def test_stale_old_value_fails():
