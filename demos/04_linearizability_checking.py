@@ -9,8 +9,8 @@ cell's helping step is load-bearing by knocking it out.
 
 import chronocas.vcas as vcas_mod
 from chronocas import Camera, VersionedCas
-from chronocas.lincheck import (Recorder, VcasCheckerSpec, check_linearizable,
-                                explore)
+from chronocas.lincheck import Recorder, check_linearizable, explore
+from chronocas.oracle import SeqVcas
 
 # -- a hand-built broken history is refused with a witness -------------------
 
@@ -22,7 +22,7 @@ bad = History([
     OpRecord(2, 0, "readsnapshot", (0,), "B", 5, 6),   # sees the future
 ])
 bad.validate()
-verdict = check_linearizable(bad, VcasCheckerSpec("A"))
+verdict = check_linearizable(bad, SeqVcas.create("A"))
 print("hand-built violation ->", verdict.status)
 print(verdict.witness)
 print()
@@ -43,7 +43,7 @@ def racing_program():
         rec.run(2, "readsnapshot", (h,), lambda: cell.read_snapshot(h))
     return [writer, reader], rec.history
 
-spec = VcasCheckerSpec("A")
+spec = SeqVcas.create("A")
 result = explore(racing_program)
 rejected = sum(1 for h in result.histories
                if check_linearizable(h, spec).rejected)

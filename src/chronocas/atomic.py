@@ -53,7 +53,7 @@ class AtomicCell:
             return False
 
 
-class PlainCell:
+class PlainCell(AtomicCell):
     """Unversioned cell presenting the versioned-cell surface.
 
     Used where the safe-field optimization applies (the cell's history is
@@ -61,25 +61,7 @@ class PlainCell:
     ``read_snapshot`` just returns the current value.
     """
 
-    __slots__ = ("_value", "_lock", "succ_cas_count")
-
-    def __init__(self, value) -> None:
-        self._value = value
-        self._lock = threading.Lock()
-        self.succ_cas_count = 0
-
-    def read(self):
-        _gate.step()
-        return self._value
-
-    def cas(self, expected, new) -> bool:
-        _gate.step()
-        with self._lock:
-            if self._value == expected:
-                self.succ_cas_count += 1
-                self._value = new
-                return True
-            return False
+    __slots__ = ()
 
     def read_snapshot(self, handle):
         return self.read()
@@ -93,9 +75,3 @@ def field_cas(obj, name: str, expected, new) -> bool:
             setattr(obj, name, new)
             return True
         return False
-
-
-def field_read(obj, name: str):
-    """Gated read of a racy object attribute."""
-    _gate.step()
-    return getattr(obj, name)

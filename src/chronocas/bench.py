@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 from . import instrument
 from .bst import LeafBst
 from .harris_list import HarrisList
-from .lincheck import (CheckBoundsError, QueueCheckerSpec, Recorder,
-                       SetCheckerSpec, check_linearizable)
+from .lincheck import CheckBoundsError, Recorder, check_linearizable
 from .msqueue import MsQueue
+from .oracle import SeqOrderedSet, SeqQueue
 
 STRUCTURES = ("queue", "list", "bst", "bst-direct", "bst-plain-cas-baseline")
 
@@ -401,8 +401,8 @@ def stress(config: WorkloadConfig, windows: int, ops_per_window: int = 3,
 
 def _judge(shared: dict, report: StressReport, is_queue: bool) -> None:
     history = shared["recorder"].history()
-    spec = (QueueCheckerSpec(shared["initial"]) if is_queue
-            else SetCheckerSpec(shared["initial"]))
+    spec = (SeqQueue(shared["initial"]) if is_queue
+            else SeqOrderedSet(shared["initial"]))
     try:
         verdict = check_linearizable(history, spec)
     except CheckBoundsError:
@@ -443,9 +443,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", type=float, default=0.0)
     p.add_argument("--baseline", action="store_true",
                    help="also run the plain-CAS baseline and report the ratio")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", default=True)
-    fmt.add_argument("--csv", action="store_true")
+    p.add_argument("--csv", action="store_true")
     p.add_argument("--stress", action="store_true")
     p.add_argument("--windows", type=int, default=100)
     return p

@@ -3,11 +3,14 @@
 ``Recorder`` stamps invocations and responses with a global event sequence.
 ``check_linearizable`` searches for a total order of the completed
 operations that extends real-time order and replays to the observed results
-under a sequential specification; pending update operations may be woven in
-or dropped, pending read-only operations are always dropped.  The search is
-a DFS over (spec state, set of linearized ops) with memoized pruning and a
-step budget; exhausting the budget yields an inconclusive verdict, never a
-pass.
+under a sequential specification from :mod:`chronocas.oracle` (a
+:class:`~chronocas.oracle.SeqSpec`, which alone says what each operation
+returns); pending operations of the spec's ``UPDATES`` kinds may be woven
+in or dropped, other pending operations are always dropped.  The search is
+a DFS over (spec state, set of linearized ops) with pruning memoized on the
+spec's ``key()`` and a step budget; exhausting the budget yields an
+inconclusive verdict, never a pass.  Each step runs on a ``copy()``, so
+the spec passed in is never changed and one spec can judge many histories.
 
 ``explore`` runs a small closed multi-thread program under a cooperative
 scheduler that serializes shared-memory accesses (the gate in
@@ -23,7 +26,6 @@ import threading
 from dataclasses import dataclass, field
 
 from . import _gate
-from .oracle import queue_answer, set_answer, vcas_answer
 
 
 class RecorderError(RuntimeError):
@@ -151,8 +153,8 @@ def check_linearizable(history: History, spec, *, max_ops: int = 24,
     if len({r.thread_id for r in history.records}) > max_threads:
         raise CheckBoundsError("too many threads")
 
-    effectful = spec.effectful_kinds()
-    candidates = completed + [r for r in history.pending() if r.kind in effectful]
+    candidates = completed + [r for r in history.pending()
+                              if r.kind in spec.UPDATES]
     need = frozenset(r.idx for r in completed)
 
     seen: set = set()
@@ -166,7 +168,7 @@ def check_linearizable(history: History, spec, *, max_ops: int = 24,
         if len(path) > len(best):
             best = list(path)
         if memoize:
-            key = (spec.state_key(state), done)
+            key = (state.key(), done)
             if key in seen:
                 return False
             seen.add(key)
@@ -179,9 +181,11 @@ def check_linearizable(history: History, spec, *, max_ops: int = 24,
             steps += 1
             if steps > step_budget:
                 raise _BudgetExhausted
-            ns = (spec.apply(state, rec) if not rec.pending
-                  else spec.apply_pending(state, rec))
-            if ns is None:
+            ns = state.copy()
+            op = (rec.kind, *rec.args)
+            if rec.pending:
+                ns.step(op)
+            elif not ns.check(op, rec.result):
                 continue
             path.append(rec)
             if dfs(ns, done | {rec.idx}, path):
@@ -190,7 +194,7 @@ def check_linearizable(history: History, spec, *, max_ops: int = 24,
         return False
 
     try:
-        ok = dfs(spec.initial_state(), frozenset(), [])
+        ok = dfs(spec, frozenset(), [])
     except _BudgetExhausted:
         return Verdict("inconclusive", witness=None, explored=steps)
     if ok:
@@ -204,120 +208,6 @@ def check_linearizable(history: History, spec, *, max_ops: int = 24,
 
 class _BudgetExhausted(Exception):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Sequential specifications in checker form
-# ---------------------------------------------------------------------------
-
-class VcasCheckerSpec:
-    """Definition-1 semantics for one versioned cell plus its camera.
-
-    Snapshot handles are opaque tags: linearizing a snapshot binds its
-    recorded tag to the current committed state, a second snapshot may reuse
-    a tag only if no commit intervened, and a snapshot read must match the
-    bound state.
-    """
-
-    def __init__(self, initial) -> None:
-        self._initial = initial
-
-    def effectful_kinds(self):
-        return {"vcas"}
-
-    def initial_state(self):
-        return ((self._initial,), ())
-
-    def state_key(self, state):
-        return state
-
-    def apply(self, state, rec):
-        log, bindings = state
-        kind = rec.kind
-        if kind in ("vread", "vcas"):
-            answer, commit = vcas_answer(log[-1], (kind, *rec.args))
-            if answer != rec.result:
-                return None
-            return (log + (rec.args[1],), bindings) if commit else state
-        if kind == "snapshot":
-            tag = rec.result
-            bound = dict(bindings)
-            if tag in bound:
-                return state if bound[tag] == len(log) - 1 else None
-            bound[tag] = len(log) - 1
-            return (log, tuple(sorted(bound.items())))
-        if kind == "readsnapshot":
-            (tag,) = rec.args
-            bound = dict(bindings)
-            if tag not in bound:
-                return None
-            return state if log[bound[tag]] == rec.result else None
-        raise ValueError(f"unknown op kind {kind!r}")
-
-    def apply_pending(self, state, rec):
-        log, bindings = state
-        _, commit = vcas_answer(log[-1], (rec.kind, *rec.args))
-        return (log + (rec.args[1],), bindings) if commit else state
-
-
-class _CollectionCheckerSpec:
-    """Checker form of a queue or set spec.  The state is an immutable
-    tuple; an update must return what ``_update`` says, and a query must
-    return the :mod:`chronocas.oracle` answer for the state it is
-    linearized at (unknown kinds raise ``OracleError``)."""
-
-    def __init__(self, initial=()) -> None:
-        self._initial = tuple(initial)
-
-    def effectful_kinds(self):
-        return self.UPDATES
-
-    def initial_state(self):
-        return self._initial
-
-    def state_key(self, state):
-        return state
-
-    def apply(self, state, rec):
-        if rec.kind in self.UPDATES:
-            after, result = self._update(state, rec.kind, rec.args)
-            return after if rec.result == result else None
-        want = self._answer(state, (rec.kind,) + rec.args)
-        return state if rec.result == want else None
-
-    def apply_pending(self, state, rec):
-        return self._update(state, rec.kind, rec.args)[0]
-
-
-class QueueCheckerSpec(_CollectionCheckerSpec):
-    """FIFO queue with atomic multi-point queries."""
-
-    UPDATES = frozenset({"enqueue", "dequeue"})
-    _answer = staticmethod(queue_answer)
-
-    @staticmethod
-    def _update(state, kind, args):
-        if kind == "enqueue":
-            return state + (args[0],), None
-        return (state[1:], state[0]) if state else (state, None)
-
-
-class SetCheckerSpec(_CollectionCheckerSpec):
-    """Ordered set with atomic multi-point queries (list and tree shapes)."""
-
-    UPDATES = frozenset({"insert", "delete"})
-    _answer = staticmethod(set_answer)
-
-    def __init__(self, initial=()) -> None:
-        super().__init__(sorted(initial))
-
-    @staticmethod
-    def _update(state, kind, args):
-        k = args[0]
-        present = k in state
-        if kind == "insert":
-            return (state if present else tuple(sorted(state + (k,)))), not present
-        return (tuple(x for x in state if x != k) if present else state), present
 
 
 # ---------------------------------------------------------------------------

@@ -133,13 +133,3 @@ class MsQueue:
             if instrument.ENABLED and visits > i + 1:
                 instrument.violation(f"queue ith({i}) visited {visits} nodes")
             return node.key
-
-    # -- counters ---------------------------------------------------------------
-
-    @property
-    def dequeue_count(self) -> int:
-        return self._head.succ_cas_count
-
-    @property
-    def enqueue_count(self) -> int:
-        return self._tail.succ_cas_count

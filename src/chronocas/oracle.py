@@ -1,101 +1,176 @@
 """Sequential specifications used as ground truth.
 
-Three families: the versioned-cell spec (a committed-value log plus a
-logical clock), a FIFO queue, and ordered sets (one flat, one that also
-splices the leaf-oriented tree so the shape query height is defined).
-Every cell operation and every queue and set query is answered by one pure
-function of the abstract state, ``vcas_answer``, ``queue_answer`` or
-``set_answer``; the sequential specs here and the checker specs in
-:mod:`chronocas.lincheck` both call them, so each operation's meaning is
-written once.  ``replay`` folds ``step`` over a single-threaded history;
-the concurrent suites diff structure outputs against these, so nothing here
-may import the concurrent modules.
+Three families: the versioned-cell spec (a committed-value log), a FIFO
+queue, and ordered sets (one flat, one that also splices the leaf-oriented
+tree so the shape query height is defined).  What each operation returns
+is written once, in its spec (set queries in ``set_answer``).  ``replay``
+folds ``step`` over a single-threaded history; the concurrent suites diff
+structure outputs against these, so nothing here may import the concurrent
+modules.
 
-Snapshot handles follow the concrete counter behavior: every snapshot
-returns the clock and bumps it, so replayed handles line up one-for-one with
-the handles a real camera hands out in a single-threaded run.
+Each spec is a :class:`SeqSpec`, the object
+:func:`chronocas.lincheck.check_linearizable` judges histories against:
+``UPDATES`` names the effectful kinds, ``step(op)`` applies an operation
+and returns its result, ``check(op, result)`` applies it and says whether
+``result`` is allowed, and ``copy()`` and ``key()`` give an independent
+twin and a hashable state for the checker's memo.
+
+Snapshot handles are bound in one place, :meth:`SeqSpec._bind`, to the
+current cut (a cell's log index, a queue's contents).  Replay issues
+handles 0, 1, 2, ... as a single-threaded camera does; checking binds the
+recorded handle, and a handle already bound passes again only while the cut
+is unchanged.  Reading an unbound handle fails a check and raises
+:class:`OracleError` in replay.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
 
 
 class OracleError(ValueError):
     """History violates a precondition of the sequential specification."""
 
 
+class UnboundHandleError(OracleError):
+    """A snapshot read names a handle that no snapshot returned."""
+
+
+# ---------------------------------------------------------------------------
+# The spec protocol
+# ---------------------------------------------------------------------------
+
+class SeqSpec:
+    """Base of the sequential specs.  Subclasses supply ``_apply(op)`` for
+    every kind but ``snapshot``, ``copy``, ``key`` and, to take snapshots,
+    ``_cut``."""
+
+    UPDATES: frozenset = frozenset()
+
+    def __init__(self) -> None:
+        self._cuts: dict = {}     # handle -> cut
+
+    def step(self, op):
+        if op[0] != "snapshot":
+            return self._apply(op)
+        handle = len(self._cuts)
+        self._bind(handle)
+        return handle
+
+    def check(self, op, result) -> bool:
+        if op[0] == "snapshot":
+            return self._bind(result)
+        try:
+            return self._apply(op) == result
+        except UnboundHandleError:
+            return False
+
+    def _bind(self, handle) -> bool:
+        cut = self._cut()
+        return self._cuts.setdefault(handle, cut) == cut
+
+    def _cut_at(self, handle):
+        try:
+            return self._cuts[handle]
+        except KeyError:
+            raise UnboundHandleError(f"handle {handle!r} was never issued") from None
+
+    def _cut(self):
+        raise OracleError(f"{type(self).__name__} takes no snapshots")
+
+    def _copied(self, twin):
+        twin._cuts = dict(self._cuts)
+        return twin
+
+
 # ---------------------------------------------------------------------------
 # Versioned cell + camera
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SeqVcas:
-    """Append-only log of committed values with a logical clock."""
+class SeqVcas(SeqSpec):
+    """Append-only log of committed values; a snapshot's cut is the index of
+    the value current when it was taken."""
 
-    committed_log: list = field(default_factory=list)   # (value, logical_time)
-    clock: int = 0
+    UPDATES = frozenset({"vcas"})
+
+    def __init__(self, committed_log) -> None:
+        super().__init__()
+        self.committed_log = list(committed_log)
 
     @classmethod
-    def create(cls, initial, clock: int = 0) -> "SeqVcas":
-        return cls(committed_log=[(initial, clock)], clock=clock)
+    def create(cls, initial) -> "SeqVcas":
+        return cls([initial])
 
-    def step(self, op):
+    def copy(self) -> "SeqVcas":
+        return self._copied(SeqVcas(self.committed_log))
+
+    def key(self):
+        return tuple(self.committed_log), frozenset(self._cuts.items())
+
+    def _cut(self) -> int:
+        return len(self.committed_log) - 1
+
+    def _apply(self, op):
         kind = op[0]
-        if kind in ("vread", "vcas"):
-            answer, commit = vcas_answer(self.committed_log[-1][0], op)
-            if commit:
-                self.committed_log.append((op[2], self.clock))
-            return answer
-        if kind == "snapshot":
-            handle = self.clock
-            self.clock += 1
-            return handle
+        if kind == "vread":
+            return self.committed_log[-1]
         if kind == "readsnapshot":
-            _, handle = op
-            if not 0 <= handle < self.clock:
-                raise OracleError(f"handle {handle} was never issued")
-            for value, t in reversed(self.committed_log):
-                if t <= handle:
-                    return value
-            raise OracleError(f"handle {handle} predates the cell")
+            return self.committed_log[self._cut_at(op[1])]
+        if kind != "vcas":
+            raise OracleError(f"unknown operation {kind!r}")
+        _, old, new = op
+        if self.committed_log[-1] != old:
+            return False
+        if new != old:   # an equal-value vcas succeeds without a new version
+            self.committed_log.append(new)
+        return True
+
+
+# ---------------------------------------------------------------------------
+# FIFO queue
+# ---------------------------------------------------------------------------
+
+class SeqQueue(SeqSpec):
+    """FIFO with the multi-point queries; a snapshot's cut is the contents."""
+
+    UPDATES = frozenset({"enqueue", "dequeue"})
+
+    def __init__(self, initial=()) -> None:
+        super().__init__()
+        self.items: list = list(initial)
+
+    def copy(self) -> "SeqQueue":
+        return self._copied(SeqQueue(self.items))
+
+    def key(self):
+        return tuple(self.items), frozenset(self._cuts.items())
+
+    def _cut(self) -> tuple:
+        return tuple(self.items)
+
+    def _apply(self, op):
+        kind = op[0]
+        if kind == "enqueue":
+            self.items.append(op[1])
+            return None
+        if kind == "dequeue":
+            return self.items.pop(0) if self.items else None
+        if kind == "scan":
+            at = op[1] if len(op) > 1 else None
+            return list(self.items if at is None else self._cut_at(at))
+        if kind == "peek":
+            return (self.items[0], self.items[-1]) if self.items else (None, None)
+        if kind == "ith":
+            i = op[1]
+            if i < 1:
+                raise OracleError("ith index is 1-based")
+            return self.items[i - 1] if i <= len(self.items) else None
         raise OracleError(f"unknown operation {kind!r}")
 
 
 # ---------------------------------------------------------------------------
-# Answers (shared with the lincheck checker specs)
+# Ordered sets
 # ---------------------------------------------------------------------------
-
-def vcas_answer(current, op):
-    """Answer of a ``vread`` or ``vcas`` on a cell holding ``current``, and
-    whether it commits the ``vcas``'s new value as a version.  A ``vcas``
-    whose new value equals its expected one succeeds without committing."""
-    kind = op[0]
-    if kind == "vread":
-        return current, False
-    if kind == "vcas":
-        _, old, new = op
-        if current != old:
-            return False, False
-        return True, new != old
-    raise OracleError(f"unknown operation {kind!r}")
-
-
-def queue_answer(items, op):
-    """Answer of a queue query on ``items``, listed head to tail."""
-    kind = op[0]
-    if kind == "scan":
-        return list(items)
-    if kind == "peek":
-        return (items[0], items[-1]) if items else (None, None)
-    if kind == "ith":
-        i = op[1]
-        if i < 1:
-            raise OracleError("ith index is 1-based")
-        return items[i - 1] if i <= len(items) else None
-    raise OracleError(f"unknown operation {kind!r}")
-
 
 def set_answer(keys, op):
     """Answer of an ordered-set query on ``keys``, sorted ascending."""
@@ -131,47 +206,25 @@ def set_answer(keys, op):
     raise OracleError(f"unknown operation {kind!r}")
 
 
-# ---------------------------------------------------------------------------
-# FIFO queue
-# ---------------------------------------------------------------------------
-
-class SeqQueue:
-    """FIFO with the multi-point queries; remembers states per handle."""
-
-    def __init__(self) -> None:
-        self.items: list = []
-        self.clock = 0
-        self._cuts: dict[int, tuple] = {}
-
-    def step(self, op):
-        kind = op[0]
-        if kind == "enqueue":
-            self.items.append(op[1])
-            return None
-        if kind == "dequeue":
-            return self.items.pop(0) if self.items else None
-        if kind == "snapshot":
-            handle = self.clock
-            self.clock += 1
-            self._cuts[handle] = tuple(self.items)
-            return handle
-        at = op[1] if kind == "scan" and len(op) > 1 else None
-        return queue_answer(self.items if at is None else self._cuts[at], op)
-
-
-# ---------------------------------------------------------------------------
-# Ordered sets
-# ---------------------------------------------------------------------------
-
-class SeqOrderedSet:
+class SeqOrderedSet(SeqSpec):
     """Sorted-list set with the multi-point queries."""
 
-    def __init__(self) -> None:
-        self.keys: list = []
+    UPDATES = frozenset({"insert", "delete"})
 
-    def step(self, op):
+    def __init__(self, initial=()) -> None:
+        super().__init__()
+        self.keys: list = sorted(initial)
+
+    def copy(self) -> "SeqOrderedSet":
+        """A flat set holding these keys (a tree's shape is not copied)."""
+        return SeqOrderedSet(self.keys)
+
+    def key(self):
+        return tuple(self.keys)
+
+    def _apply(self, op):
         kind = op[0]
-        if kind not in ("insert", "delete"):
+        if kind not in self.UPDATES:
             return set_answer(self.keys, op)
         k = op[1]
         i = bisect.bisect_left(self.keys, k)
@@ -223,11 +276,11 @@ class SeqLeafBst(SeqOrderedSet):
     def _is_real(self, leaf) -> bool:
         return leaf.key != self._lo and leaf.key != self._hi
 
-    def step(self, op):
+    def _apply(self, op):
         kind = op[0]
         if kind == "height":
             return self._height()
-        changed = super().step(op)
+        changed = super()._apply(op)
         if kind == "insert" and changed:
             k = op[1]
             _, p, l = self._search(k)
@@ -267,11 +320,6 @@ class SeqLeafBst(SeqOrderedSet):
 # ---------------------------------------------------------------------------
 # Replay
 # ---------------------------------------------------------------------------
-
-def step(state, op):
-    """One transition of whichever sequential spec ``state`` is."""
-    return state.step(op)
-
 
 def replay(state, history) -> list:
     """Fold ``step`` over a single-threaded history, returning all results."""

@@ -20,8 +20,6 @@ walk raises on (under its handle's pin it never reaches one, see
 
 from __future__ import annotations
 
-import operator
-
 from . import _gate, instrument, reclaim
 from .atomic import AtomicCell, field_cas
 from .camera import INVALID_NEXTV, TBD, Camera
@@ -135,12 +133,11 @@ class VersionedPointer:
 class VersionedCas(VersionedPointer):
     """Versioned cell over arbitrary values, one :class:`VNode` per version."""
 
-    __slots__ = ("_reclaim", "_eq", "max_success")
+    __slots__ = ("_reclaim", "max_success")
 
-    def __init__(self, initial, camera: Camera, reclaim_mgr=None, eq=None,
+    def __init__(self, initial, camera: Camera, reclaim_mgr=None,
                  max_success=None) -> None:
         self._reclaim = reclaim_mgr
-        self._eq = eq or operator.eq
         self.max_success = max_success
         super().__init__(VNode(initial, None), camera)
 
@@ -154,9 +151,9 @@ class VersionedCas(VersionedPointer):
         head = self._head.read()
         if "no_init_before_swing" not in _mutations:
             self.init_ts(head)
-        if not self._eq(head.val, old_val):
+        if head.val != old_val:
             return False
-        if self._eq(new_val, old_val):
+        if new_val == old_val:
             return True
         # A losing record was never visible; plain disposal.
         return self._swap(head, VNode(new_val, head))

@@ -19,8 +19,7 @@ from chronocas import (Camera, EpochManager, HarrisList, LeafBst, MsQueue,
 from chronocas import reclaim as reclaim_mod
 from chronocas.bench import WorkloadConfig, run_with_baseline, stress
 from chronocas.bst import INF1, INF2
-from chronocas.lincheck import (QueueCheckerSpec, Recorder, VcasCheckerSpec,
-                                check_linearizable, explore)
+from chronocas.lincheck import Recorder, check_linearizable, explore
 from chronocas.oracle import SeqLeafBst, SeqOrderedSet, SeqQueue, SeqVcas
 
 
@@ -272,7 +271,7 @@ def _canonical_programs():
 
 
 def test_criterion_2_linearizability():
-    spec = VcasCheckerSpec("A")
+    spec = SeqVcas.create("A")
     # exhaustive exploration of the canonical racing programs
     explored = {}
     for name, prog in _canonical_programs().items():

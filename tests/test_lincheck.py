@@ -4,9 +4,9 @@ import pytest
 
 from chronocas.atomic import AtomicCell
 from chronocas.lincheck import (CheckBoundsError, History, OpRecord,
-                                QueueCheckerSpec, Recorder, RecorderError,
-                                SetCheckerSpec, VcasCheckerSpec,
-                                check_linearizable, explore)
+                                Recorder, RecorderError, check_linearizable,
+                                explore)
+from chronocas.oracle import SeqOrderedSet, SeqQueue, SeqVcas, replay
 
 
 def _rec(idx, tid, kind, args, result, inv, resp):
@@ -57,7 +57,7 @@ def test_sequential_history_accepted():
     rec.run(0, "enqueue", (10,), lambda: None)
     rec.run(0, "scan", (), lambda: [3, 10])
     rec.run(0, "dequeue", (), lambda: 3)
-    v = check_linearizable(rec.history(), QueueCheckerSpec())
+    v = check_linearizable(rec.history(), SeqQueue())
     assert v.accepted
 
 
@@ -70,7 +70,7 @@ def test_snapshot_read_after_snapshot_response_rejected():
         _rec(2, 0, "readsnapshot", (0,), "B", 5, 6),
     ])
     h.validate()
-    v = check_linearizable(h, VcasCheckerSpec("A"))
+    v = check_linearizable(h, SeqVcas.create("A"))
     assert v.rejected
     assert "no linearization" in v.witness
 
@@ -81,7 +81,7 @@ def test_two_overlapping_cas_same_old_both_true_rejected():
         _rec(1, 1, "vcas", ("A", "C"), True, 2, 3),
     ])
     h.validate()
-    assert check_linearizable(h, VcasCheckerSpec("A")).rejected
+    assert check_linearizable(h, SeqVcas.create("A")).rejected
 
 
 def test_equal_handles_allowed_without_intervening_commit():
@@ -92,7 +92,7 @@ def test_equal_handles_allowed_without_intervening_commit():
     ])
     h.records[1].invoke_seq = 1
     h.validate()
-    assert check_linearizable(h, VcasCheckerSpec("A")).accepted
+    assert check_linearizable(h, SeqVcas.create("A")).accepted
 
 
 def test_equal_handles_with_commit_between_rejected():
@@ -105,14 +105,14 @@ def test_equal_handles_with_commit_between_rejected():
         _rec(4, 1, "readsnapshot", (5,), "B", 7, 8),
     ])
     h.validate()
-    assert check_linearizable(h, VcasCheckerSpec("A")).rejected
+    assert check_linearizable(h, SeqVcas.create("A")).rejected
 
 
 def test_pending_update_may_be_linearized():
     rec = Recorder()
     rec.invoke(1, "enqueue", (7,))          # never responds
     rec.run(0, "dequeue", (), lambda: 7)    # observes its effect
-    v = check_linearizable(rec.history(), QueueCheckerSpec())
+    v = check_linearizable(rec.history(), SeqQueue())
     assert v.accepted
 
 
@@ -120,7 +120,7 @@ def test_pending_update_may_be_dropped():
     rec = Recorder()
     rec.invoke(1, "insert", (7,))
     rec.run(0, "contains", (7,), lambda: False)
-    assert check_linearizable(rec.history(), SetCheckerSpec()).accepted
+    assert check_linearizable(rec.history(), SeqOrderedSet()).accepted
 
 
 def test_size_bound_refused():
@@ -128,14 +128,14 @@ def test_size_bound_refused():
     for i in range(30):
         rec.run(0, "enqueue", (i,), lambda: None)
     with pytest.raises(CheckBoundsError):
-        check_linearizable(rec.history(), QueueCheckerSpec())
+        check_linearizable(rec.history(), SeqQueue())
 
 
 def test_budget_exhaustion_is_inconclusive_not_pass():
     rec = Recorder()
     for i in range(10):
         rec.run(i % 8, "enqueue", (i,), lambda: None)
-    v = check_linearizable(rec.history(), QueueCheckerSpec(), step_budget=3)
+    v = check_linearizable(rec.history(), SeqQueue(), step_budget=3)
     assert v.status == "inconclusive"
     assert not v.accepted
 
@@ -160,7 +160,7 @@ def test_pruned_and_unpruned_agree_on_small_histories():
                             seqs[6], seqs[7]))
         h = History(records)
         h.validate()
-        spec = SetCheckerSpec()
+        spec = SeqOrderedSet()
         a = check_linearizable(h, spec, memoize=True)
         b = check_linearizable(h, spec, memoize=False)
         assert a.status == b.status, h.describe()
@@ -172,8 +172,88 @@ def test_rejection_witness_reverified_without_pruning():
         _rec(1, 1, "vcas", ("A", "C"), True, 2, 3),
     ])
     h.validate()
-    spec = VcasCheckerSpec("A")
+    spec = SeqVcas.create("A")
     assert check_linearizable(h, spec, memoize=False).rejected
+
+
+# -- checker against replay ------------------------------------------------------
+
+def _vcas_ops(rng):
+    ops, issued = [], 0
+    for _ in range(20):
+        roll = rng.random()
+        if roll < 0.4:
+            ops.append(("vcas", rng.randrange(3), rng.randrange(3)))
+        elif roll < 0.6:
+            ops.append(("snapshot",))
+            issued += 1
+        elif roll < 0.8 and issued:
+            ops.append(("readsnapshot", rng.randrange(issued)))
+        else:
+            ops.append(("vread",))
+    return ops
+
+
+def _queue_ops(rng):
+    ops, issued = [], 0
+    for _ in range(20):
+        roll = rng.random()
+        if roll < 0.35:
+            ops.append(("enqueue", rng.randrange(5)))
+        elif roll < 0.6:
+            ops.append(("dequeue",))
+        elif roll < 0.7:
+            ops.append(("snapshot",))
+            issued += 1
+        elif roll < 0.8 and issued:
+            ops.append(("scan", rng.randrange(issued)))
+        else:
+            ops.append(rng.choice([("scan",), ("peek",),
+                                   ("ith", rng.randint(1, 3))]))
+    return ops
+
+
+def _set_ops(rng):
+    ops = []
+    for _ in range(20):
+        k = rng.randrange(6)
+        ops.append(rng.choice([("insert", k), ("delete", k), ("contains", k),
+                               ("range", k, k + rng.randrange(3)),
+                               ("succ", k, rng.randint(1, 2)),
+                               ("ith", rng.randint(1, 3))]))
+    return ops
+
+
+def _sequential(ops, results):
+    rec = Recorder()
+    for op, result in zip(ops, results):
+        rec.run(0, op[0], op[1:], lambda result=result: result)
+    return rec.history()
+
+
+@pytest.mark.parametrize("make,gen", [
+    (lambda: SeqVcas.create(0), _vcas_ops),
+    (lambda: SeqQueue(("a",)), _queue_ops),
+    (lambda: SeqOrderedSet((1, 3)), _set_ops),
+], ids=["vcas", "queue", "set"])
+def test_checker_agrees_with_replay(make, gen):
+    """A sequential history whose results come from replay is accepted, one
+    altered result gets it rejected, and the spec passed in never moves."""
+    import random
+    rng = random.Random(3)
+    wrong = object()
+    for _ in range(30):
+        ops = gen(rng)
+        results = replay(make(), ops)
+        spec = make()
+        before = spec.key()
+        assert check_linearizable(_sequential(ops, results), spec).accepted
+        assert spec.key() == before
+        replay(spec.copy(), ops)
+        assert spec.key() == before
+        i = rng.choice([j for j, op in enumerate(ops) if op[0] != "snapshot"])
+        results[i] = wrong
+        assert check_linearizable(_sequential(ops, results), make()).rejected
 
 
 # -- explorer ------------------------------------------------------------------

@@ -121,8 +121,7 @@ def test_snapshot_is_load_bearing_for_peek():
     """Negative control: endpoints read without a common cut produce a pair
     that never coexisted under an adversarial schedule; the snapshot-based
     peek survives the same schedule."""
-    from chronocas.lincheck import (QueueCheckerSpec, Recorder,
-                                    check_linearizable, run_schedule)
+    from chronocas.lincheck import Recorder, check_linearizable, run_schedule
 
     def make():
         q = MsQueue()
@@ -138,7 +137,7 @@ def test_snapshot_is_load_bearing_for_peek():
             rec.run(2, "peek", (), q.peek_endpoints)
         return [t1, t2], rec.history
 
-    spec = QueueCheckerSpec(("a", "b"))
+    spec = SeqQueue(("a", "b"))
 
     def broken_peek(self):
         with self.epoch.pinned():

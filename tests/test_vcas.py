@@ -8,8 +8,7 @@ from chronocas import Camera, TBD, VersionedCas
 from chronocas._gate import StepCounter
 from chronocas.oracle import SeqVcas
 from chronocas.vcas import SnapshotPreconditionError, VNode
-from chronocas.lincheck import (Recorder, VcasCheckerSpec, check_linearizable,
-                                explore)
+from chronocas.lincheck import Recorder, check_linearizable, explore
 from versions import version_chain
 
 
@@ -217,7 +216,7 @@ def _op_sequences(draw):
 def test_sequential_conformance_matches_oracle(ops):
     cam = Camera()
     v = VersionedCas(0, cam)
-    ref = SeqVcas.create(0, clock=0)
+    ref = SeqVcas.create(0)
     for op in ops:
         if op[0] == "vread":
             got = v.read()
@@ -246,7 +245,7 @@ def test_concurrent_race_accepted_by_checker():
 
     res = explore(make)
     assert res.complete
-    spec = VcasCheckerSpec("A")
+    spec = SeqVcas.create("A")
     for hist in res.histories:
         assert check_linearizable(hist, spec).accepted
 
@@ -275,7 +274,7 @@ def test_mutations_break_linearizability(mutation, program):
             rec.run(2, "readsnapshot", (h,), lambda: v.read_snapshot(h))
         return [t1, t2], rec.history
 
-    spec = VcasCheckerSpec("A")
+    spec = SeqVcas.create("A")
     vcas_mod._mutations = frozenset([mutation])
     try:
         res = explore(make)

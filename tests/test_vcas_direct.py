@@ -137,7 +137,7 @@ def test_oracle_equivalence_single_thread():
     first = Node(0)
     direct = DirectVersionedCas(first, cam_d)
     indirect = VersionedCas(first, cam_i)
-    ref = SeqVcas.create(first, clock=0)
+    ref = SeqVcas.create(first)
     handles = []
     cur = first
     for i in range(1, 400):
