@@ -1,13 +1,28 @@
 """Shared-memory access gate.
 
 Every algorithm-relevant shared access (reads and CAS attempts on mutable
-cells) funnels through :func:`step` before it executes.  In normal use the
-gate is a near-free branch.  Two hooks can be armed:
+cells, and the helping checks on write-once fields) is marked by
+:func:`step` before it executes.  Two hooks can observe those steps:
 
 * a cooperative step controller (installed by ``lincheck.explore``), which
   suspends the calling worker thread until the scheduler grants it the next
   step, serializing shared accesses in a chosen order;
 * a step counter, used by structural tests that assert constant step bounds.
+
+Call sites test the module flag :data:`armed` and call :func:`step` only
+when it is set, so production code pays one global attribute test per
+access::
+
+    if _gate.armed:
+        _gate.step()
+
+The contract: :data:`armed` is True exactly while a hook is live, and it is
+written only by the three entry points that install hooks,
+:func:`install_controller`/:func:`remove_controller` and
+:class:`StepCounter` (on enter and exit).  Removing one hook leaves the flag
+set while the other is still live.  Install hooks only through these entry
+points; assigning ``_controller`` or ``_counter`` directly leaves the flag
+stale and the hook blind.
 
 Immutable fields (a version node's value and older-version link, node keys)
 are read without gating: once published they never change, so their reads
@@ -18,6 +33,7 @@ from __future__ import annotations
 
 import threading
 
+armed = False       # True while a controller or a counter is installed
 _controller = None  # set by lincheck.explore for the duration of one run
 _counter = None     # set by tests that count shared accesses single-threaded
 
@@ -32,6 +48,11 @@ def step() -> None:
         k.count += 1
 
 
+def _rearm() -> None:
+    global armed
+    armed = _controller is not None or _counter is not None
+
+
 class StepCounter:
     """Counts gated accesses.  Intended for single-threaded structural tests."""
 
@@ -44,18 +65,22 @@ class StepCounter:
         global _counter
         self.count = 0
         _counter = self
+        _rearm()
         return self
 
     def __exit__(self, *exc) -> None:
         global _counter
         _counter = None
+        _rearm()
 
 
 def install_controller(controller) -> None:
     global _controller
     _controller = controller
+    _rearm()
 
 
 def remove_controller() -> None:
     global _controller
     _controller = None
+    _rearm()

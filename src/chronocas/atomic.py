@@ -32,7 +32,8 @@ class AtomicCell:
         self._lock = threading.Lock()
 
     def read(self):
-        _gate.step()
+        if _gate.armed:
+            _gate.step()
         return self._value
 
     def cas(self, expected, new, on_success=None) -> bool:
@@ -43,7 +44,8 @@ class AtomicCell:
         perform shared accesses; it exists for bookkeeping that must be atomic
         with the swap.
         """
-        _gate.step()
+        if _gate.armed:
+            _gate.step()
         with self._lock:
             if self._value == expected:
                 if on_success is not None:
@@ -69,7 +71,8 @@ class PlainCell(AtomicCell):
 
 def field_cas(obj, name: str, expected, new) -> bool:
     """Compare-and-swap on a write-once object attribute."""
-    _gate.step()
+    if _gate.armed:
+        _gate.step()
     with _install_lock:
         if getattr(obj, name) == expected:
             setattr(obj, name, new)

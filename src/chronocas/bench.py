@@ -1,9 +1,12 @@
 """Benchmark and stress driver.
 
 ``run`` prefills a structure, drives a timed operation mix from per-thread
-seeded PRNG streams, and reports throughput per operation kind, the
-snapshot-read hop histogram, the reclamation high-water mark, and the
-step-bound violation count (which must be zero).  ``stress`` interleaves
+seeded PRNG streams, and reports throughput per operation kind and the
+reclamation high-water mark.  With ``instrument`` set (``--instrument``) it
+also builds the structure instrumented and reports the snapshot-read hop
+histogram and the step-bound violation count (which must be zero); those
+checks cost time, so the throughput of such a run is not comparable with an
+uninstrumented one.  ``stress`` interleaves
 short recorded windows with quiescent checkpoints and feeds every window to
 the linearizability checker.
 
@@ -58,6 +61,7 @@ class WorkloadConfig:
     seed: int = 42
     sorted_insert: bool = False
     warmup: float = 0.0
+    instrument: bool = False
 
     def validate(self) -> None:
         if self.structure not in STRUCTURES:
@@ -84,11 +88,11 @@ class RunReport:
     throughput: dict = field(default_factory=dict)
     ops: dict = field(default_factory=dict)
     elapsed: float = 0.0
-    hop_histogram: dict = field(default_factory=dict)
+    hop_histogram: dict | None = None        # None: run not instrumented
     retired: int = 0
     freed: int = 0
     max_live_retired: int = 0
-    step_bound_violations: int = 0
+    step_bound_violations: int | None = None
     overhead_ratio_vs_plain: float | None = None
 
     def to_dict(self) -> dict:
@@ -100,7 +104,8 @@ class RunReport:
             "elapsed_seconds": self.elapsed,
             "ops": self.ops,
             "throughput": self.throughput,
-            "hop_histogram": {str(k): v for k, v in sorted(self.hop_histogram.items())},
+            "hop_histogram": (None if self.hop_histogram is None else
+                              {str(k): v for k, v in sorted(self.hop_histogram.items())}),
             "retired": self.retired,
             "freed": self.freed,
             "max_live_retired": self.max_live_retired,
@@ -116,7 +121,7 @@ class RunReport:
                 f"{self.elapsed:.3f}",
                 f"{sum(self.throughput.values()):.1f}",
                 self.max_live_retired, self.step_bound_violations]
-        return ",".join(str(c) for c in cols)
+        return ",".join("" if c is None else str(c) for c in cols)
 
 
 CSV_HEADER = ("structure,threads,prefill,ins,del,find,rq,rqsize,seed,"
@@ -210,19 +215,25 @@ def _prefill_sorted(structure, config: WorkloadConfig) -> None:
 
 def run(config: WorkloadConfig) -> RunReport:
     config.validate()
-    instrument.enable(True)
-    instrument.reset()
-    structure = build_structure(config.structure)
-    _prefill(structure, config)
-    report = RunReport(config)
-    report.ops, report.elapsed = _timed_mix(structure, config)
+    was_enabled = instrument.ENABLED
+    instrument.enable(config.instrument)
+    try:
+        if config.instrument:
+            instrument.reset()
+        structure = build_structure(config.structure)
+        _prefill(structure, config)
+        report = RunReport(config)
+        report.ops, report.elapsed = _timed_mix(structure, config)
+        if config.instrument:
+            report.hop_histogram = instrument.hop_histogram()
+            report.step_bound_violations = instrument.violation_count()
+    finally:
+        instrument.enable(was_enabled)
     total = max(report.elapsed, 1e-9)
     report.throughput = {k: v / total for k, v in report.ops.items()}
-    report.hop_histogram = instrument.hop_histogram()
     report.retired = structure.epoch.retired_total
     report.freed = structure.epoch.freed_total
     report.max_live_retired = structure.epoch.live_retired_hwm
-    report.step_bound_violations = instrument.violation_count()
     return report
 
 
@@ -441,6 +452,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--sorted", dest="sorted_insert", action="store_true")
     p.add_argument("--warmup", type=float, default=0.0)
+    p.add_argument("--instrument", action="store_true",
+                   help="check every snapshot read's step bound and report "
+                        "the hop histogram and violation count (slower)")
     p.add_argument("--baseline", action="store_true",
                    help="also run the plain-CAS baseline and report the ratio")
     p.add_argument("--csv", action="store_true")
@@ -455,7 +469,8 @@ def main(argv=None) -> int:
         structure=args.structure, prefill=args.prefill, ins=args.ins,
         delete=args.delete, find=args.find, rq=args.rq, rqsize=args.rqsize,
         threads=args.threads, seconds=args.seconds, seed=args.seed,
-        sorted_insert=args.sorted_insert, warmup=args.warmup)
+        sorted_insert=args.sorted_insert, warmup=args.warmup,
+        instrument=args.instrument)
     try:
         config.validate()
         if args.stress:

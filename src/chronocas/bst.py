@@ -176,9 +176,14 @@ class LeafBst:
         return gp, p, l, pupdate, gpupdate
 
     def find(self, key) -> bool:
+        # Only updates need the update words _search reads: find descends
+        # by child cells alone, as the EFRB Find does.
         self._check_key(key)
         with self.epoch.maybe_pinned():
-            return self._search(key)[2].key == key
+            node = self._root
+            while isinstance(node, BstInternal):
+                node = (node.left if key < node.key else node.right).read()
+            return node.key == key
 
     # -- helping -----------------------------------------------------------------
 

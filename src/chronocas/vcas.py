@@ -6,6 +6,9 @@ the winner installs it afterwards with ``init_ts``, and every operation that
 meets a TBD head helps install it first.  That helping makes append +
 timestamp-read + timestamp-install appear atomic, so a snapshot read
 resolves any handle by walking to the first record stamped at or below it.
+``read`` and ``cas`` of both cell forms help inline (one gated step, then a
+``field_cas`` only when the head is still TBD); ``init_ts`` is the same
+check as a method, for the publish tail, the walk and racing helpers.
 :class:`VersionedPointer` holds that protocol once; :class:`VersionedCas`
 wraps each value in a :class:`VNode`, and
 :class:`~chronocas.vcas_direct.DirectVersionedCas` threads the list through
@@ -26,8 +29,19 @@ from .camera import INVALID_NEXTV, TBD, Camera
 
 # Test-only fault injection:  "no_read_help" drops the helping step from
 # read(); "no_init_before_swing" drops the pre-append helping step from
-# cas().  Both are load-bearing; the linearizability suite proves it.
+# cas().  Both are load-bearing; the linearizability suite proves it.  They
+# are consulted only while the gate is armed: the explorer that exposes them
+# always arms it, and unarmed accesses skip the set lookup.
 _mutations: frozenset = frozenset()
+
+
+def _help_step(mutation: str) -> bool:
+    """Armed path of an inline helping check: False if ``mutation`` drops
+    the check, else the check's gated step is taken."""
+    if mutation in _mutations:
+        return False
+    _gate.step()
+    return True
 
 
 class SnapshotPreconditionError(RuntimeError):
@@ -87,7 +101,8 @@ class VersionedPointer:
     def init_ts(self, node) -> None:
         """Install a current timestamp into ``node`` unless one is there.
         Exposed: racing helpers are part of the contract."""
-        _gate.step()
+        if _gate.armed:
+            _gate.step()
         if node.ts == TBD:
             field_cas(node, "ts", TBD, self._camera.peek_timestamp())
 
@@ -143,14 +158,15 @@ class VersionedCas(VersionedPointer):
 
     def read(self):
         head = self._head.read()
-        if "no_read_help" not in _mutations:
-            self.init_ts(head)
+        if (not _gate.armed or _help_step("no_read_help")) and head.ts == TBD:
+            field_cas(head, "ts", TBD, self._camera.peek_timestamp())
         return head.val
 
     def cas(self, old_val, new_val) -> bool:
         head = self._head.read()
-        if "no_init_before_swing" not in _mutations:
-            self.init_ts(head)
+        if ((not _gate.armed or _help_step("no_init_before_swing"))
+                and head.ts == TBD):
+            field_cas(head, "ts", TBD, self._camera.peek_timestamp())
         if head.val != old_val:
             return False
         if new_val == old_val:

@@ -62,20 +62,27 @@ class DirectVersionedCas(VersionedPointer):
 
     def init_nextv(self, node) -> None:
         """Normalize an uninitialized version link to None."""
-        _gate.step()
+        if _gate.armed:
+            _gate.step()
         if node.nextv is INVALID_NEXTV:
             field_cas(node, "nextv", INVALID_NEXTV, None)
 
     def read(self):
         head = self._head.read()
         if head is not None:
-            self.init_ts(head)
+            if _gate.armed:
+                _gate.step()
+            if head.ts == TBD:
+                field_cas(head, "ts", TBD, self._camera.peek_timestamp())
         return head
 
     def cas(self, old_node, new_node) -> bool:
         head = self._head.read()
         if head is not None:
-            self.init_ts(head)
+            if _gate.armed:
+                _gate.step()
+            if head.ts == TBD:
+                field_cas(head, "ts", TBD, self._camera.peek_timestamp())
         if head is not old_node:
             return False
         if new_node is old_node:

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from chronocas import LeafBst, bench
+from chronocas import LeafBst, bench, instrument
 from chronocas.bench import (ConfigError, WorkloadConfig, main, run,
                              run_with_baseline, stress)
 
@@ -27,7 +27,7 @@ def test_key_range_follows_update_asymmetry():
 def test_queue_enqueue_only_run():
     report = run(WorkloadConfig(structure="queue", prefill=0, ins=100,
                                 delete=0, find=0, rq=0, threads=1,
-                                seconds=0.3, seed=1))
+                                seconds=0.3, seed=1, instrument=True))
     assert sum(report.throughput.values()) > 0
     assert report.step_bound_violations == 0
 
@@ -36,10 +36,29 @@ def test_rq_only_static_tree_has_zero_hops():
     """No concurrent updates: every snapshot read resolves at the head."""
     report = run(WorkloadConfig(structure="bst", prefill=200, ins=0, delete=0,
                                 find=0, rq=100, rqsize=16, threads=2,
-                                seconds=0.3, seed=2))
+                                seconds=0.3, seed=2, instrument=True))
     assert report.ops["rq"] > 0
     assert set(report.hop_histogram) <= {0}
     assert report.step_bound_violations == 0
+
+
+def test_default_run_leaves_instrumentation_off():
+    """A default run reports no instrumented fields and leaves cells built
+    after it uninstrumented; an instrumented run restores the prior state."""
+    cfg = dict(structure="bst", prefill=50, threads=1, seconds=0.1, seed=6)
+    report = run(WorkloadConfig(**cfg))
+    assert instrument.ENABLED is False
+    assert report.hop_histogram is None
+    assert report.step_bound_violations is None
+    doc = report.to_dict()
+    assert doc["hop_histogram"] is None and doc["step_bound_violations"] is None
+    assert report.to_csv_row().endswith(",")
+    assert LeafBst()._root.left._log is None
+    run(WorkloadConfig(**cfg, instrument=True))
+    assert instrument.ENABLED is False
+    instrument.enable(True)
+    run(WorkloadConfig(**cfg))
+    assert instrument.ENABLED is True
 
 
 def test_baseline_pairing_reports_ratio():
@@ -69,7 +88,7 @@ def test_one_thread_stress_trivially_accepted():
 def test_cli_json_output(capsys):
     rc = main(["--structure", "queue", "--prefill", "0", "--ins", "100",
                "--del", "0", "--find", "0", "--rq", "0", "--threads", "1",
-               "--seconds", "0.2", "--seed", "7"])
+               "--seconds", "0.2", "--seed", "7", "--instrument"])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["schema_version"] == 1

@@ -5,6 +5,7 @@ import pytest
 from chronocas import LeafBst
 from chronocas.bench import WorkloadConfig, stress
 from chronocas.oracle import SeqLeafBst
+from chronocas._gate import StepCounter
 from chronocas.atomic import AtomicCell
 from chronocas.bst import INF1, INF2, BstInternal
 
@@ -188,9 +189,32 @@ def test_queries_never_touch_update_words():
     t.find_if(0, 400, lambda k: k % 7 == 0)
     t.multisearch([1, 2, 3])
     t.height()
+    t.find(250)
     assert CountingCell.reads == 0
-    t.find(250)                     # positive control: searches read them
+    t.insert(250)                   # positive control: updates read them
     assert CountingCell.reads > 0
+    CountingCell.reads = 0
+    t.delete(250)
+    assert CountingCell.reads > 0
+
+
+@pytest.mark.parametrize("mode", ["indirect", "direct"])
+def test_find_takes_two_gated_steps_per_level(mode):
+    """find reads one child cell per level: the head read and the inline
+    helping check, and no update word."""
+    t = LeafBst(mode=mode)
+    rng = random.Random(8)
+    keys = rng.sample(range(1000), 200)
+    for k in keys:
+        t.insert(k)
+    for key in keys[:20] + [1000, -1]:
+        node, depth = t._root, 0
+        while isinstance(node, BstInternal):
+            node = (node.left if key < node.key else node.right).read()
+            depth += 1
+        with StepCounter() as steps:
+            t.find(key)
+        assert steps.count == 2 * depth
 
 
 def test_recorded_once_holds_across_workload():
