@@ -32,13 +32,33 @@ Queries must pin for their whole snapshot lifetime, and a thread holds at
 most one snapshot handle at a time; every data-structure query runs inside
 :meth:`EpochManager.query`, which fuses pin + take_snapshot so the epoch
 argument for timestamp-based safety holds.
+
+A pinned ``retire`` takes no lock: it appends to the current bag,
+``_cur_bag``, with one ``list.append``, which the GIL makes atomic.  This is
+safe because the advancer publishes the new bag before it bumps the epoch,
+so any bag a thread reads after pinning at ``p`` is labelled at least
+``p``; that bag is swept only once every announcement is at least its label
++ 2, which the appender's own announcement ``p`` prevents until it unpins.
+So a pinned appender never writes into a swept bag.  An unpinned ``retire``
+appends under the lock, which the sweeps hold too.  All threads share one
+bag per epoch: per-thread bags would strand the records of threads that
+have exited, each holding its cell's history until it is freed.
+
+The counters are derived, not kept per retire: ``live_retired`` is the sum
+of the bag lengths, ``retired_total`` is ``freed_total + live_retired``, and
+``freed_total`` is bumped under the lock that pops the swept bags.  Between
+two sweeps ``live_retired`` only grows, so the high-water mark is sampled
+under the lock just before each sweep and read as the larger of that sample
+and the current ``live_retired``: exact in any serial run, and short by at
+most the lock-free appends that land between a sweep's sample and its pop.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 POISON_ON = os.environ.get("CHRONOCAS_DEBUG_POISON") == "1"
 
@@ -65,13 +85,30 @@ def check_live(record) -> None:
 
 
 class _Slot:
-    """Single-writer per-thread announcement: epoch when pinned, else None."""
+    """Single-writer per-thread announcement: epoch when pinned, else None.
 
-    __slots__ = ("epoch", "snapshot")
+    A slot is also its thread's reusable ``maybe_pinned`` context, entered
+    only while unpinned: enter announces the current epoch, exit clears it."""
 
-    def __init__(self) -> None:
+    __slots__ = ("epoch", "snapshot", "_mgr")
+
+    def __init__(self, mgr: "EpochManager") -> None:
         self.epoch = None
         self.snapshot = None
+        self._mgr = mgr
+
+    def __enter__(self) -> None:
+        self.epoch = self._mgr._epoch
+
+    def __exit__(self, *exc) -> None:
+        self.epoch = None
+
+
+_COVERED = nullcontext()   # maybe_pinned under an outer pin: nothing to do
+
+
+class _Local(threading.local):
+    slot = None   # the calling thread's _Slot once it has one
 
 
 class Guard:
@@ -89,21 +126,24 @@ class EpochManager:
         self._lock = threading.Lock()
         self._epoch = 1
         self._slots: dict[int, _Slot] = {}
-        self._local = threading.local()
-        self._bags: dict[int, list] = {1: []}
-        self._retired_ids: set[int] = set()
+        self._local = _Local()
+        self._cur_bag: list = []
+        self._bags: dict[int, list] = {1: self._cur_bag}
+        # id -> the number of its retire call: setdefault is one atomic
+        # test-and-set, so the double-retire check needs no lock, and the
+        # call numbers pace the advances.
+        self._retired_ids: dict[int, int] = {}
+        self._retire_count = itertools.count(1)
         self._advance_every = advance_every
-        self._retire_tick = 0
-        self.retired_total = 0
+        self._hwm_sample = 0
         self.freed_total = 0
-        self.live_retired_hwm = 0
 
     # -- announcements -----------------------------------------------------
 
     def _my_slot(self) -> _Slot:
-        slot = getattr(self._local, "slot", None)
+        slot = self._local.slot
         if slot is None:
-            slot = _Slot()
+            slot = _Slot(self)
             self._local.slot = slot
             with self._lock:
                 self._slots[threading.get_ident()] = slot
@@ -122,17 +162,25 @@ class EpochManager:
         guard.active = False
         guard._slot.epoch = None
 
-    def pinned(self) -> "_PinContext":
-        return _PinContext(self)
+    @contextmanager
+    def pinned(self):
+        guard = self.pin()
+        try:
+            yield guard
+        finally:
+            self.unpin(guard)
 
     def is_pinned(self) -> bool:
-        slot = getattr(self._local, "slot", None)
+        slot = self._local.slot
         return slot is not None and slot.epoch is not None
 
-    def maybe_pinned(self) -> "_PinContext":
-        """Pin unless the calling thread already holds a pin (an operation
-        running inside an outer critical section is covered by it)."""
-        return _PinContext(self, skip_if_pinned=True)
+    def maybe_pinned(self):
+        """Pin for a ``with`` block unless the calling thread already holds
+        a pin (an operation inside an outer critical section is covered by
+        it).  Allocates nothing once the thread has a slot: the context is
+        the slot itself, or a shared no-op one when already pinned."""
+        slot = self._local.slot or self._my_slot()
+        return _COVERED if slot.epoch is not None else slot
 
     # -- snapshots ----------------------------------------------------------
 
@@ -173,19 +221,20 @@ class EpochManager:
     # -- retire / advance / collect ------------------------------------------
 
     def retire(self, record) -> None:
-        with self._lock:
-            rid = id(record)
-            if rid in self._retired_ids:
+        """Hand ``record`` to the current epoch's bag; lock-free when the
+        caller is pinned (see the module docstring for why that is safe)."""
+        slot = self._local.slot
+        n = next(self._retire_count)
+        if slot is not None and slot.epoch is not None:
+            if self._retired_ids.setdefault(id(record), n) != n:
                 raise ReclaimError("double retire")
-            self._retired_ids.add(rid)
-            self._bags.setdefault(self._epoch, []).append(record)
-            self.retired_total += 1
-            live = self.retired_total - self.freed_total
-            if live > self.live_retired_hwm:
-                self.live_retired_hwm = live
-            self._retire_tick += 1
-            tick = self._retire_tick
-        if self._advance_every and tick % self._advance_every == 0:
+            self._cur_bag.append(record)
+        else:
+            with self._lock:
+                if self._retired_ids.setdefault(id(record), n) != n:
+                    raise ReclaimError("double retire")
+                self._cur_bag.append(record)
+        if self._advance_every and n % self._advance_every == 0:
             self.try_advance_epoch()
 
     def _all_caught_up(self, epoch: int) -> bool:
@@ -207,8 +256,9 @@ class EpochManager:
         with self._lock:
             if self._epoch != cur:
                 return False
+            self._sample_hwm_locked()
+            self._cur_bag = self._bags[cur + 1] = []   # publish, then bump
             self._epoch = cur + 1
-            self._bags.setdefault(cur + 1, [])
             doomed = self._sweep_locked(cur - 2)
         self._free_batch(doomed)
         return True
@@ -221,23 +271,27 @@ class EpochManager:
         with self._lock:
             if self._epoch != cur:
                 return 0
+            self._sample_hwm_locked()
             doomed = self._sweep_locked(cur - 2)
         self._free_batch(doomed)
         return len(doomed)
+
+    def _live_locked(self) -> int:
+        return sum(len(bag) for bag in self._bags.values())
+
+    def _sample_hwm_locked(self) -> None:
+        self._hwm_sample = max(self._hwm_sample, self._live_locked())
 
     def _sweep_locked(self, up_to: int) -> list:
         doomed = []
         for e in [e for e in self._bags if e <= up_to]:
             doomed.extend(self._bags.pop(e))
+        for rec in doomed:
+            del self._retired_ids[id(rec)]
+        self.freed_total += len(doomed)
         return doomed
 
     def _free_batch(self, records: list) -> None:
-        if not records:
-            return
-        with self._lock:
-            for rec in records:
-                self._retired_ids.discard(id(rec))
-            self.freed_total += len(records)
         hook = "_poison" if POISON_ON else "_free"
         for rec in records:
             free = getattr(rec, hook, None)
@@ -250,23 +304,15 @@ class EpochManager:
 
     @property
     def live_retired(self) -> int:
-        return self.retired_total - self.freed_total
+        with self._lock:
+            return self._live_locked()
 
+    @property
+    def retired_total(self) -> int:
+        with self._lock:
+            return self.freed_total + self._live_locked()
 
-class _PinContext:
-    __slots__ = ("_mgr", "_guard", "_skip")
-
-    def __init__(self, mgr: EpochManager, skip_if_pinned: bool = False) -> None:
-        self._mgr = mgr
-        self._guard = None
-        self._skip = skip_if_pinned
-
-    def __enter__(self) -> Guard | None:
-        if self._skip and self._mgr.is_pinned():
-            return None
-        self._guard = self._mgr.pin()
-        return self._guard
-
-    def __exit__(self, *exc) -> None:
-        if self._guard is not None:
-            self._mgr.unpin(self._guard)
+    @property
+    def live_retired_hwm(self) -> int:
+        with self._lock:
+            return max(self._hwm_sample, self._live_locked())

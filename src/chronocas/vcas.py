@@ -88,15 +88,12 @@ class VersionedPointer:
     __slots__ = ("_head", "_camera", "_floor_ts", "_log", "succ_cas_count")
 
     def __init__(self, first, camera: Camera) -> None:
-        # ``first`` is None only for an empty direct cell: no floor then.
+        # The subclass stamps ``first`` and sets the floor: its timestamp, or
+        # -1 for an empty direct cell (``first`` None).
         self._camera = camera
         self._head = AtomicCell(first)
         self._log = instrument.VersionLog(first) if instrument.ENABLED else None
         self.succ_cas_count = 0
-        self._floor_ts = -1
-        if first is not None:
-            self.init_ts(first)
-            self._floor_ts = first.ts
 
     def init_ts(self, node) -> None:
         """Install a current timestamp into ``node`` unless one is there.
@@ -154,7 +151,11 @@ class VersionedCas(VersionedPointer):
                  max_success=None) -> None:
         self._reclaim = reclaim_mgr
         self.max_success = max_success
-        super().__init__(VNode(initial, None), camera)
+        # The first record is private until the constructor returns, so it
+        # is stamped directly rather than installed with ``init_ts``.
+        first = VNode(initial, None)
+        first.ts = self._floor_ts = camera.peek_timestamp()
+        super().__init__(first, camera)
 
     def read(self):
         head = self._head.read()

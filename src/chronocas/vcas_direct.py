@@ -56,9 +56,13 @@ class DirectVersionedCas(VersionedPointer):
     __slots__ = ()
 
     def __init__(self, initial, camera: Camera) -> None:
-        if initial is not None:
-            self.init_nextv(initial)
         super().__init__(initial, camera)
+        self._floor_ts = -1
+        if initial is not None:
+            # The initial node may already be published: install, not set.
+            self.init_nextv(initial)
+            self.init_ts(initial)
+            self._floor_ts = initial.ts
 
     def init_nextv(self, node) -> None:
         """Normalize an uninitialized version link to None."""

@@ -15,9 +15,11 @@ class Record:
     def __init__(self, tag):
         self.tag = tag
         self._poisoned = False
+        self.hooks = 0
 
     def _poison(self):
         self._poisoned = True
+        self.hooks += 1
 
 
 @pytest.fixture
@@ -368,3 +370,152 @@ def test_pinned_walks_never_reach_cut_links():
             assert len(version_chain(cell)) <= mgr.live_retired + 2
     finally:
         sys.setswitchinterval(old_switch)
+
+
+# -- the lean fast paths ---------------------------------------------------------
+
+
+class CountingLock:
+    """A lock that counts its acquisitions."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.acquired = 0
+
+    def __enter__(self):
+        self._lock.acquire()
+        self.acquired += 1
+
+    def __exit__(self, *exc):
+        self._lock.release()
+
+
+def test_pinned_retire_takes_no_lock():
+    mgr = EpochManager(advance_every=0)
+    guard = mgr.pin()                 # registers the slot (a locked step)
+    mgr._lock = counting = CountingLock()
+    for i in range(10):
+        mgr.retire(Record(i))
+    assert counting.acquired == 0
+    mgr.unpin(guard)
+    mgr.retire(Record(10))
+    assert counting.acquired == 1     # unpinned: the locked path
+    assert mgr.retired_total == 11
+
+
+def test_pinned_double_retire_diagnosed():
+    mgr = EpochManager(advance_every=0)
+    rec = Record(1)
+    with mgr.pinned():
+        mgr.retire(rec)
+        with pytest.raises(ReclaimError):
+            mgr.retire(rec)
+    assert mgr.retired_total == 1
+
+
+def test_maybe_pinned_reuses_one_context_per_thread():
+    mgr = EpochManager()
+    ctx = mgr.maybe_pinned()
+    assert mgr.maybe_pinned() is ctx
+    with ctx:
+        assert mgr.is_pinned()
+    assert not mgr.is_pinned()
+    assert mgr.maybe_pinned() is ctx
+
+
+def test_maybe_pinned_under_outer_pin_is_a_shared_no_op():
+    mgr = EpochManager(advance_every=0)
+    unpinned_ctx = mgr.maybe_pinned()
+    guard = mgr.pin()
+    covered = mgr.maybe_pinned()
+    assert covered is mgr.maybe_pinned() and covered is not unpinned_ctx
+    with covered:
+        assert guard._slot.epoch == 1
+    assert guard._slot.epoch == 1     # the outer announcement stays
+    mgr.unpin(guard)
+    assert mgr.maybe_pinned() is unpinned_ctx
+
+
+def test_maybe_pinned_unpins_on_exception():
+    mgr = EpochManager()
+    ctx = mgr.maybe_pinned()
+    with pytest.raises(KeyError):
+        with ctx:
+            raise KeyError("inside the block")
+    assert not mgr.is_pinned()
+    assert mgr.maybe_pinned() is ctx
+    with mgr.pinned():                # the slot is usable again
+        pass
+
+
+def test_lock_free_retire_accounting_under_racing_advances(poisoning):
+    """Pinned retirers append without the lock while an advancer sweeps as
+    often as it can.  A record appended into a bag already swept would be
+    neither live nor freed: the totals would not add up and its hook would
+    never run.  A record freed under its retirer's pin would trap."""
+    old_switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        mgr = EpochManager(advance_every=1)
+        retired = [[] for _ in range(4)]
+        errors = []
+        stop = threading.Event()
+
+        def retirer(mine):
+            try:
+                for _ in range(400):
+                    with mgr.maybe_pinned():
+                        batch = [Record(i) for i in range(3)]
+                        for rec in batch:
+                            mgr.retire(rec)
+                        for rec in batch:
+                            reclaim_mod.check_live(rec)
+                    mine.extend(batch)
+            except Exception as exc:   # reported by the main thread
+                errors.append(exc)
+
+        def advancer():
+            while not stop.is_set():
+                mgr.try_advance_epoch()
+
+        adv = threading.Thread(target=advancer)
+        workers = [threading.Thread(target=retirer, args=(m,)) for m in retired]
+        adv.start()
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+        stop.set()
+        adv.join(timeout=60)
+        assert not any(t.is_alive() for t in workers + [adv])
+        assert not errors, errors[:3]
+        records = [rec for mine in retired for rec in mine]
+        assert len(records) == 4 * 400 * 3 == mgr.retired_total
+        _free_everything(mgr)
+        assert mgr.retired_total == mgr.freed_total == len(records)
+        assert all(rec.hooks == 1 for rec in records)
+    finally:
+        sys.setswitchinterval(old_switch)
+
+
+def test_live_retired_hwm_is_the_exact_peak_between_sweeps():
+    mgr = EpochManager(advance_every=0)
+    keep = []
+
+    def retire(n):
+        for _ in range(n):
+            keep.append(Record(len(keep)))
+            mgr.retire(keep[-1])
+
+    retire(3)
+    assert mgr.try_advance_epoch()      # epoch 2
+    retire(4)
+    assert mgr.try_advance_epoch()      # epoch 3
+    retire(2)                           # 9 live: the peak
+    assert mgr.try_advance_epoch()      # epoch 4 frees epoch 1's 3
+    assert mgr.live_retired == 6
+    retire(1)
+    assert mgr.live_retired_hwm == 9
+    retire(5)                           # 12 live, no sweep since
+    assert mgr.live_retired_hwm == 12
+    assert mgr.retired_total == 15 and mgr.freed_total == 3
