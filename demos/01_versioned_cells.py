@@ -6,7 +6,11 @@ with that camera can then answer "what did you hold at that handle?" by
 walking its version list - no locking, no copying the structure.
 """
 
-from chronocas import Camera, VersionedCas
+from chronocas import Camera, VersionedCas, instrument
+
+# Instrumented cells log their versions and count their successful swaps;
+# the count below shows how much history each write adds.
+instrument.enable(True)
 
 camera = Camera()
 balance = VersionedCas(100, camera)

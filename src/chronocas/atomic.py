@@ -3,11 +3,14 @@
 CPython has no user-level compare-and-swap, so a cell is a slot guarded by a
 lock; the lock is held only for the duration of the single access, never
 across another shared access, so the gate in :mod:`chronocas._gate` can
-suspend a thread between accesses without deadlock.
+suspend a thread between accesses without deadlock.  A versioned pointer
+(:class:`chronocas.vcas.VersionedPointer`) keeps its head the same way in its
+own slots; :class:`AtomicCell` serves the unversioned words: the BST update
+words, the camera's counter and :class:`PlainCell`.
 
-Equality for ``cas`` is ``==``, which degrades to identity for the node
-objects stored by the data structures (none of them define ``__eq__``) and to
-value equality for integers and mark pairs.
+Equality for ``cas`` is ``==``, which degrades to identity for the node and
+record objects stored by the data structures (none of them define
+``__eq__``) and to value equality for integers and mark pairs.
 """
 
 from __future__ import annotations
@@ -36,20 +39,12 @@ class AtomicCell:
             _gate.step()
         return self._value
 
-    def cas(self, expected, new, on_success=None) -> bool:
-        """Atomically set ``new`` iff the current value equals ``expected``.
-
-        ``on_success(expected, new)`` runs inside the critical section, before
-        the new value becomes visible to lock-free readers, and must not
-        perform shared accesses; it exists for bookkeeping that must be atomic
-        with the swap.
-        """
+    def cas(self, expected, new) -> bool:
+        """Atomically set ``new`` iff the current value equals ``expected``."""
         if _gate.armed:
             _gate.step()
         with self._lock:
             if self._value == expected:
-                if on_success is not None:
-                    on_success(expected, new)
                 self._value = new
                 return True
             return False

@@ -102,6 +102,8 @@ class HarrisList:
         node.next.retire_head()
 
     def _bump(self, which: str) -> None:
+        """Count one update for the instrumented skip bound in
+        :meth:`get_next`, its only reader; called only while instrumented."""
         with self._count_lock:
             if which == "ins":
                 self.insert_count += 1
@@ -119,7 +121,8 @@ class HarrisList:
                 node = ListNode(key)
                 node.next = VersionedCas((curr, False), self.camera, self.epoch)
                 if pred.next.cas((curr, False), (node, False)):
-                    self._bump("ins")
+                    if instrument.ENABLED:
+                        self._bump("ins")
                     return True
 
     def delete(self, key) -> bool:
@@ -132,7 +135,8 @@ class HarrisList:
                 if marked:
                     continue
                 if curr.next.cas((succ, False), (succ, True)):
-                    self._bump("del")
+                    if instrument.ENABLED:
+                        self._bump("del")
                     if pred.next.cas((curr, False), (succ, False)):
                         self._retire_node(curr)
                     else:

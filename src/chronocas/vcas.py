@@ -9,8 +9,10 @@ resolves any handle by walking to the first record stamped at or below it.
 ``read`` and ``cas`` of both cell forms help inline (one gated step, then a
 ``field_cas`` only when the head is still TBD); ``init_ts`` is the same
 check as a method, for the publish tail, the walk and racing helpers.
-:class:`VersionedPointer` holds that protocol once; :class:`VersionedCas`
-wraps each value in a :class:`VNode`, and
+:class:`VersionedPointer` holds that protocol once, and is itself the
+atomic word: the head record and the lock that guards its swap are slots of
+the pointer, as in the paper's vCAS object.  :class:`VersionedCas` wraps
+each value in a :class:`VNode`, and
 :class:`~chronocas.vcas_direct.DirectVersionedCas` threads the list through
 the user's nodes.  ``read`` and ``cas`` touch a constant number of shared
 locations; a snapshot read walks one link per newer version.
@@ -23,8 +25,10 @@ walk raises on (under its handle's pin it never reaches one, see
 
 from __future__ import annotations
 
+import threading
+
 from . import _gate, instrument, reclaim
-from .atomic import AtomicCell, field_cas
+from .atomic import field_cas
 from .camera import INVALID_NEXTV, TBD, Camera
 
 # Test-only fault injection:  "no_read_help" drops the helping step from
@@ -79,21 +83,26 @@ class VNode(VersionRecord):
 
 
 class VersionedPointer:
-    """Head of a version list plus the camera it is synchronized with.
+    """One versioned pointer: the head of a version list, held in its own
+    lock-guarded slot, plus the camera it is synchronized with.
 
-    Subclasses supply ``_appended(old, new)``, the bookkeeping that runs
-    inside the head cell's critical section when a ``cas`` swaps.
+    The head is read without the lock (one slot read after the gated step)
+    and swung only under it.  Subclasses supply ``_appended(old, new)``, the
+    bookkeeping that runs inside the critical section of a successful swap,
+    before the new head becomes visible; it must take no gated step.
     """
 
-    __slots__ = ("_head", "_camera", "_floor_ts", "_log", "succ_cas_count")
+    __slots__ = ("_head", "_lock", "_camera", "_floor_ts", "_log",
+                 "succ_cas_count")
 
     def __init__(self, first, camera: Camera) -> None:
         # The subclass stamps ``first`` and sets the floor: its timestamp, or
         # -1 for an empty direct cell (``first`` None).
         self._camera = camera
-        self._head = AtomicCell(first)
+        self._head = first
+        self._lock = threading.Lock()
         self._log = instrument.VersionLog(first) if instrument.ENABLED else None
-        self.succ_cas_count = 0
+        self.succ_cas_count = 0   # counted only while ``_log`` is kept
 
     def init_ts(self, node) -> None:
         """Install a current timestamp into ``node`` unless one is there.
@@ -104,12 +113,22 @@ class VersionedPointer:
             field_cas(node, "ts", TBD, self._camera.peek_timestamp())
 
     def _swap(self, head, new) -> bool:
-        """Swing the head from ``head`` to ``new``.  The winner installs its
-        own timestamp; a loser helps whatever head beat it."""
-        if self._head.cas(head, new, on_success=self._appended):
+        """Swing the head from ``head`` to ``new`` (records compare by
+        identity).  The winner installs its own timestamp; a loser helps
+        whatever head beat it."""
+        if _gate.armed:
+            _gate.step()
+        with self._lock:
+            won = self._head is head
+            if won:
+                self._appended(head, new)
+                self._head = new
+        if won:
             self.init_ts(new)
             return True
-        cur = self._head.read()
+        if _gate.armed:
+            _gate.step()
+        cur = self._head
         if cur is not None:
             self.init_ts(cur)
         return False
@@ -120,7 +139,9 @@ class VersionedPointer:
             raise SnapshotPreconditionError(
                 f"handle {handle} predates this cell "
                 f"(its first version is stamped {self._floor_ts})")
-        node = self._head.read()
+        if _gate.armed:
+            _gate.step()
+        node = self._head
         if node is not None:
             self.init_ts(node)
         view = self._log.view() if self._log is not None else None
@@ -158,13 +179,17 @@ class VersionedCas(VersionedPointer):
         super().__init__(first, camera)
 
     def read(self):
-        head = self._head.read()
+        if _gate.armed:
+            _gate.step()
+        head = self._head
         if (not _gate.armed or _help_step("no_read_help")) and head.ts == TBD:
             field_cas(head, "ts", TBD, self._camera.peek_timestamp())
         return head.val
 
     def cas(self, old_val, new_val) -> bool:
-        head = self._head.read()
+        if _gate.armed:
+            _gate.step()
+        head = self._head
         if ((not _gate.armed or _help_step("no_init_before_swing"))
                 and head.ts == TBD):
             field_cas(head, "ts", TBD, self._camera.peek_timestamp())
@@ -176,11 +201,12 @@ class VersionedCas(VersionedPointer):
         return self._swap(head, VNode(new_val, head))
 
     def _appended(self, old: VNode, new: VNode) -> None:
-        self.succ_cas_count += 1
-        if self.max_success is not None and self.succ_cas_count > self.max_success:
-            instrument.violation("cell exceeded its write-once budget")
         if self._log is not None:
             self._log.append(new)
+            self.succ_cas_count += 1
+            if (self.max_success is not None
+                    and self.succ_cas_count > self.max_success):
+                instrument.violation("cell exceeded its write-once budget")
         if self._reclaim is not None:
             self._reclaim.retire(old)
 
@@ -190,4 +216,6 @@ class VersionedCas(VersionedPointer):
     def retire_head(self) -> None:
         """Retire the current head record with its owning node."""
         if self._reclaim is not None:
-            self._reclaim.retire(self._head.read())
+            if _gate.armed:
+                _gate.step()
+            self._reclaim.retire(self._head)

@@ -72,7 +72,9 @@ class DirectVersionedCas(VersionedPointer):
             field_cas(node, "nextv", INVALID_NEXTV, None)
 
     def read(self):
-        head = self._head.read()
+        if _gate.armed:
+            _gate.step()
+        head = self._head
         if head is not None:
             if _gate.armed:
                 _gate.step()
@@ -81,7 +83,9 @@ class DirectVersionedCas(VersionedPointer):
         return head
 
     def cas(self, old_node, new_node) -> bool:
-        head = self._head.read()
+        if _gate.armed:
+            _gate.step()
+        head = self._head
         if head is not None:
             if _gate.armed:
                 _gate.step()
@@ -106,9 +110,9 @@ class DirectVersionedCas(VersionedPointer):
         # Displaced nodes are retired by the owning structure: in a
         # recorded-once client the displaced head is exactly the node the
         # structure just unlinked.
-        self.succ_cas_count += 1
         if self._log is not None:
             self._log.append(new)
+            self.succ_cas_count += 1
         with _install_lock:
             if new._published:
                 _republished.node = new

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 from chronocas import Camera, vcas
+from versions import head
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -26,7 +27,7 @@ def test_traced_run_patch_targets_resolve():
     for module in spans.FIELD_CAS_MODULES:
         assert callable(getattr(module, "field_cas", None)), module
     # perfbench counts retained versions with ``type(obj) is VNode``
-    assert type(vcas.VersionedCas(0, Camera())._head.read()) is vcas.VNode
+    assert type(head(vcas.VersionedCas(0, Camera()))) is vcas.VNode
 
 
 def test_benchmark_oracle_surface():

@@ -8,7 +8,7 @@ from chronocas import (INVALID_NEXTV, Camera, DirectVersionedCas, EpochManager,
                        PoisonedReadError, ReclaimError, Versionable, instrument)
 from chronocas import reclaim as reclaim_mod
 from chronocas.vcas import SnapshotPreconditionError, VersionedCas
-from versions import version_chain
+from versions import head, version_chain
 
 
 class Record:
@@ -227,7 +227,7 @@ def _indirect_history(n):
     h = cam.take_snapshot()
     displaced = []
     for i in range(1, n + 1):
-        displaced.append(cell._head.read())
+        displaced.append(head(cell))
         cam.take_snapshot()
         assert cell.cas(i - 1, i)
     return cam, mgr, cell, displaced, h

@@ -4,19 +4,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chronocas.vcas as vcas_mod
-from chronocas import Camera, TBD, VersionedCas
+from chronocas import (Camera, DirectVersionedCas, EpochManager, TBD,
+                       VersionedCas, Versionable, instrument)
 from chronocas._gate import StepCounter
 from chronocas.oracle import SeqVcas
 from chronocas.vcas import SnapshotPreconditionError, VNode
 from chronocas.lincheck import Recorder, check_linearizable, explore
-from versions import version_chain
+from versions import head, version_chain
 
 
 def test_constructor_fresh_camera():
     cam = Camera()
     v = VersionedCas(5, cam)
     assert v.read() == 5
-    assert v._head.read().ts == 0
+    assert head(v).ts == 0
 
 
 def test_constructor_after_three_snapshots():
@@ -24,7 +25,7 @@ def test_constructor_after_three_snapshots():
     for _ in range(3):
         cam.take_snapshot()
     v = VersionedCas(5, cam)
-    assert v._head.read().ts == 3
+    assert head(v).ts == 3
 
 
 def test_snapshot_after_construction_sees_initial():
@@ -37,7 +38,7 @@ def test_snapshot_after_construction_sees_initial():
 def test_init_ts_noop_when_valid():
     cam = Camera()
     v = VersionedCas(1, cam)
-    node = v._head.read()
+    node = head(v)
     before = node.ts
     cam.take_snapshot()
     v.init_ts(node)
@@ -49,7 +50,7 @@ def test_init_ts_installs_current_counter():
     v = VersionedCas(1, cam)
     for _ in range(7):
         cam.take_snapshot()
-    node = VNode(2, v._head.read())
+    node = VNode(2, head(v))
     assert node.ts == TBD
     v.init_ts(node)
     assert node.ts == 7
@@ -146,6 +147,53 @@ def test_read_snapshot_steps_track_version_walk():
         assert v.read_snapshot(h) == 0
     # gated accesses stay constant; the walk itself is link-chasing
     assert steps.count <= 6
+
+
+def _steps(op) -> int:
+    with StepCounter() as steps:
+        op()
+    return steps.count
+
+
+def test_gated_steps_of_each_access_are_exact():
+    """The explorer schedules, and ``gate.steps_per_op`` counts, exactly
+    these gated accesses; a change to a cell's layout must not move one."""
+    cam = Camera()
+    v = VersionedCas(0, cam, EpochManager(advance_every=0))
+    h = cam.take_snapshot()
+    assert _steps(v.read) == 2                  # head, help check
+    # head, help check, swap, then the winner's init_ts: check, camera
+    # read, install
+    assert _steps(lambda: v.cas(0, 1)) == 6
+    assert _steps(lambda: v.cas(0, 2)) == 2     # value mismatch
+    assert _steps(lambda: v.cas(1, 1)) == 2     # equal value
+    stale = version_chain(v)[1]
+    # lost swap, re-read of the head that beat it, help check
+    assert _steps(lambda: v._swap(stale, VNode(2, stale))) == 3
+    assert v.cas(1, 2) and v.cas(2, 3)
+    now = cam.take_snapshot()
+    assert _steps(lambda: v.read_snapshot(now)) == 2    # 0 hops
+    assert _steps(lambda: v.read_snapshot(h)) == 2      # 3 hops
+    assert _steps(v.retire_head) == 1
+
+    a, b = Versionable(), Versionable()
+    d = DirectVersionedCas(a, cam)
+    assert _steps(d.read) == 2
+    assert _steps(DirectVersionedCas(None, cam).read) == 1
+    # head, help check, link install, swap, init_ts (three as above)
+    assert _steps(lambda: d.cas(a, b)) == 7
+
+
+@pytest.mark.parametrize("instrumented", [True, False])
+def test_write_once_budget_checked_only_when_instrumented(instrumented):
+    """An instrumented cell over its write-once budget is reported once per
+    excess write; an uninstrumented cell keeps no swap bookkeeping."""
+    instrument.enable(instrumented)
+    instrument.reset()
+    v = VersionedCas(0, Camera(), max_success=1)
+    assert v.cas(0, 1) and v.cas(1, 2)
+    assert instrument.violation_count() == (1 if instrumented else 0)
+    assert v.succ_cas_count == (2 if instrumented else 0)
 
 
 def test_precondition_violation_detected():
