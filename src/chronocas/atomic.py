@@ -6,7 +6,8 @@ across another shared access, so the gate in :mod:`chronocas._gate` can
 suspend a thread between accesses without deadlock.  A versioned pointer
 (:class:`chronocas.vcas.VersionedPointer`) keeps its head the same way in its
 own slots; :class:`AtomicCell` serves the unversioned words: the BST update
-words, the camera's counter and :class:`PlainCell`.
+words, the camera's counter, the queue's write-once next links and
+:class:`PlainCell`.
 
 Equality for ``cas`` is ``==``, which degrades to identity for the node and
 record objects stored by the data structures (none of them define
@@ -51,10 +52,8 @@ class AtomicCell:
 
 
 class PlainCell(AtomicCell):
-    """Unversioned cell presenting the versioned-cell surface.
-
-    Used where the safe-field optimization applies (the cell's history is
-    never needed by queries) and for the plain-CAS baseline structures:
+    """Unversioned cell presenting the versioned-cell surface, for the
+    plain-CAS baseline build of :class:`~chronocas.bst.LeafBst`:
     ``read_snapshot`` just returns the current value.
     """
 

@@ -226,12 +226,21 @@ class ExploreResult:
     schedules: list[tuple] = field(default_factory=list)
 
 
+def _held_lock() -> threading.Lock:
+    """A binary semaphore at 0: a raw lock, released by one thread and
+    acquired by another.  The handoff alternates strictly, so it is never
+    released while free."""
+    lock = threading.Lock()
+    lock.acquire()
+    return lock
+
+
 class _Worker:
     __slots__ = ("index", "thread", "go", "done", "error", "steps")
 
     def __init__(self, index: int, body, controller: "_Controller") -> None:
         self.index = index
-        self.go = threading.Semaphore(0)
+        self.go = _held_lock()
         self.done = False
         self.error = None
         self.steps = 0
@@ -255,7 +264,7 @@ class _Controller:
     _TIMEOUT = 30.0
 
     def __init__(self, bodies) -> None:
-        self._ctl = threading.Semaphore(0)
+        self._ctl = _held_lock()
         self._workers = [_Worker(i, body, self) for i, body in enumerate(bodies)]
         self._by_thread = {w.thread: w for w in self._workers}
 

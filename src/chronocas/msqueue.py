@@ -1,12 +1,12 @@
 """Michael-Scott queue with atomic multi-point queries.
 
-Head, tail, and per-node next links are versioned cells sharing one camera;
-a query takes a snapshot handle and resolves every link it follows at that
-cut.  Enqueues linearize at the tail swing (scheme L2), so queries read the
-tail at the cut and never chase an unswung next link.  A node's next link is
-successfully written at most once, which both keeps snapshot reads of next
-links constant-time and allows the safe-field build (``versioned_next=
-False``) to leave them unversioned without changing any query result.
+Head and tail are versioned cells sharing one camera; a query takes a
+snapshot handle and reads both at that cut.  A node's next link is a plain
+atomic word: it is written once, from None, before the tail can swing past
+its node (enqueues linearize at the tail swing), and a query follows links
+only from the head up to the tail it read at its handle.  Every link it
+follows was therefore set before the cut and never changes afterwards, so a
+current read gives the link's value at the cut.
 
 Keys must not be None; None is the empty indication.
 """
@@ -14,7 +14,7 @@ Keys must not be None; None is the empty indication.
 from __future__ import annotations
 
 from . import instrument, reclaim
-from .atomic import PlainCell
+from .atomic import AtomicCell
 from .camera import Camera
 from .reclaim import EpochManager
 from .vcas import VersionedCas
@@ -25,7 +25,7 @@ class QueueNode:
 
     def __init__(self, key) -> None:
         self.key = key
-        self.next = None
+        self.next = AtomicCell(None)
         self._poisoned = False
 
     def _poison(self) -> None:
@@ -35,26 +35,17 @@ class QueueNode:
 
 class MsQueue:
     def __init__(self, camera: Camera | None = None,
-                 epoch: EpochManager | None = None,
-                 versioned_next: bool = True) -> None:
+                 epoch: EpochManager | None = None) -> None:
         self.camera = camera or Camera()
         self.epoch = epoch or EpochManager()
-        self._versioned_next = versioned_next
         dummy = QueueNode(None)
-        dummy.next = self._next_cell(None)
         self._head = VersionedCas(dummy, self.camera, self.epoch)
         self._tail = VersionedCas(dummy, self.camera, self.epoch)
-
-    def _next_cell(self, value):
-        if self._versioned_next:
-            return VersionedCas(value, self.camera, self.epoch, max_success=1)
-        return PlainCell(value)
 
     # -- updates ---------------------------------------------------------------
 
     def enqueue(self, key) -> None:
         node = QueueNode(key)
-        node.next = self._next_cell(None)
         with self.epoch.maybe_pinned():
             while True:
                 last = self._tail.read()
@@ -80,8 +71,6 @@ class MsQueue:
                     key = nxt.key
                     if self._head.cas(first, nxt):
                         self.epoch.retire(first)
-                        if self._versioned_next:
-                            first.next.retire_head()
                         return key
 
     # -- queries (each runs against one snapshot cut) ---------------------------
@@ -92,7 +81,7 @@ class MsQueue:
             tail = self._tail.read_snapshot(h)
             if head is tail:
                 return (None, None)
-            first = head.next.read_snapshot(h)
+            first = head.next.read()
             return (first.key, tail.key)
 
     def scan(self, at: int | None = None) -> list:
@@ -113,7 +102,7 @@ class MsQueue:
         while node is not last:
             if reclaim.POISON_ON:
                 reclaim.check_live(node)
-            node = node.next.read_snapshot(h)
+            node = node.next.read()
             out.append(node.key)
         return out
 
@@ -128,7 +117,7 @@ class MsQueue:
             for _ in range(i):
                 if node is last:
                     return None
-                node = node.next.read_snapshot(h)
+                node = node.next.read()
                 visits += 1
             if instrument.ENABLED and visits > i + 1:
                 instrument.violation(f"queue ith({i}) visited {visits} nodes")

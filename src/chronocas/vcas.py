@@ -87,9 +87,10 @@ class VersionedPointer:
     lock-guarded slot, plus the camera it is synchronized with.
 
     The head is read without the lock (one slot read after the gated step)
-    and swung only under it.  Subclasses supply ``_appended(old, new)``, the
-    bookkeeping that runs inside the critical section of a successful swap,
-    before the new head becomes visible; it must take no gated step.
+    and swung only under it.  A successful swap appends to the instrumented
+    log, then runs the subclass's ``_appended(old, new)``, both inside the
+    critical section, before the new head becomes visible; ``_appended``
+    must take no gated step.
     """
 
     __slots__ = ("_head", "_lock", "_camera", "_floor_ts", "_log",
@@ -121,6 +122,9 @@ class VersionedPointer:
         with self._lock:
             won = self._head is head
             if won:
+                if self._log is not None:
+                    self._log.append(new)
+                    self.succ_cas_count += 1
                 self._appended(head, new)
                 self._head = new
         if won:
@@ -166,12 +170,10 @@ class VersionedPointer:
 class VersionedCas(VersionedPointer):
     """Versioned cell over arbitrary values, one :class:`VNode` per version."""
 
-    __slots__ = ("_reclaim", "max_success")
+    __slots__ = ("_reclaim",)
 
-    def __init__(self, initial, camera: Camera, reclaim_mgr=None,
-                 max_success=None) -> None:
+    def __init__(self, initial, camera: Camera, reclaim_mgr=None) -> None:
         self._reclaim = reclaim_mgr
-        self.max_success = max_success
         # The first record is private until the constructor returns, so it
         # is stamped directly rather than installed with ``init_ts``.
         first = VNode(initial, None)
@@ -201,12 +203,6 @@ class VersionedCas(VersionedPointer):
         return self._swap(head, VNode(new_val, head))
 
     def _appended(self, old: VNode, new: VNode) -> None:
-        if self._log is not None:
-            self._log.append(new)
-            self.succ_cas_count += 1
-            if (self.max_success is not None
-                    and self.succ_cas_count > self.max_success):
-                instrument.violation("cell exceeded its write-once budget")
         if self._reclaim is not None:
             self._reclaim.retire(old)
 

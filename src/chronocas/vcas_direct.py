@@ -110,9 +110,6 @@ class DirectVersionedCas(VersionedPointer):
         # Displaced nodes are retired by the owning structure: in a
         # recorded-once client the displaced head is exactly the node the
         # structure just unlinked.
-        if self._log is not None:
-            self._log.append(new)
-            self.succ_cas_count += 1
         with _install_lock:
             if new._published:
                 _republished.node = new

@@ -1,9 +1,13 @@
 import random
+import sys
+import threading
+import time
 
 import pytest
 
 from chronocas import MsQueue
-from chronocas import instrument
+from chronocas import instrument, msqueue
+from chronocas.atomic import AtomicCell
 from chronocas.bench import WorkloadConfig, stress
 from chronocas.oracle import SeqQueue
 
@@ -88,25 +92,75 @@ def test_sequential_replay_matches_oracle():
     _random_history(MsQueue(), SeqQueue(), seed=11, steps=1500)
 
 
-def test_safe_field_build_equivalent_to_versioned():
-    """With L2 linearization the next links are safe to leave unversioned;
-    identical seeded histories give identical results."""
-    _random_history(MsQueue(versioned_next=False), SeqQueue(), seed=11,
-                    steps=1500)
+class _CountingCell(AtomicCell):
+    """A next word that records the expected value of each successful swap."""
+
+    __slots__ = ("swaps",)
+    made: list = []
+
+    def __init__(self, value) -> None:
+        super().__init__(value)
+        self.swaps = []
+        _CountingCell.made.append(self)
+
+    def cas(self, expected, new) -> bool:
+        if super().cas(expected, new):
+            self.swaps.append(expected)
+            return True
+        return False
 
 
-def test_next_links_written_at_most_once():
-    instrument.enable(True)
-    instrument.reset()
+def test_next_links_written_at_most_once(monkeypatch):
+    """Every next word is swapped at most once, from None, however the
+    enqueuers race; the queries' current reads of next links rest on it."""
+    monkeypatch.setattr(msqueue, "AtomicCell", _CountingCell)
+    monkeypatch.setattr(_CountingCell, "made", [])
+    old_switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    q = MsQueue()
+    per_thread = 300
+    dequeued = []
+
+    def enqueuer(t):
+        for i in range(per_thread):
+            q.enqueue((t, i))
+
+    deadline = time.monotonic() + 60
+
+    def dequeuer():
+        got = 0
+        while got < per_thread and time.monotonic() < deadline:
+            key = q.dequeue()
+            if key is not None:
+                dequeued.append(key)
+                got += 1
+
+    workers = ([threading.Thread(target=enqueuer, args=(t,)) for t in range(3)]
+               + [threading.Thread(target=dequeuer) for _ in range(3)])
     try:
-        q = MsQueue()
-        for i in range(200):
-            q.enqueue(i)
-        for _ in range(100):
-            q.dequeue()
-        assert instrument.violation_count() == 0
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
     finally:
-        instrument.enable(False)
+        sys.setswitchinterval(old_switch)
+    assert not any(w.is_alive() for w in workers)
+    assert sorted(dequeued) == [(t, i) for t in range(3) for i in range(per_thread)]
+    swaps = [c.swaps for c in _CountingCell.made]
+    assert all(s in ([], [None]) for s in swaps)
+    assert sum(map(len, swaps)) == 3 * per_thread   # one link per enqueue
+
+
+def test_each_pair_retires_three_records():
+    """An enqueue/dequeue pair retires the displaced tail and head versions
+    and the dequeued dummy node, and nothing for the next links."""
+    q = MsQueue()
+    n = 50
+    before = q.epoch.retired_total
+    for i in range(n):
+        q.enqueue(i)
+        assert q.dequeue() == i
+    assert q.epoch.retired_total - before == 3 * n
 
 
 def test_concurrent_windows_accepted():
@@ -162,7 +216,6 @@ def test_snapshot_is_load_bearing_for_peek():
 
 
 def test_ith_step_bound_under_concurrent_dequeues():
-    import threading
     instrument.enable(True)
     instrument.reset()
     try:

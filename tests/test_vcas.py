@@ -185,14 +185,12 @@ def test_gated_steps_of_each_access_are_exact():
 
 
 @pytest.mark.parametrize("instrumented", [True, False])
-def test_write_once_budget_checked_only_when_instrumented(instrumented):
-    """An instrumented cell over its write-once budget is reported once per
-    excess write; an uninstrumented cell keeps no swap bookkeeping."""
+def test_swaps_counted_only_when_instrumented(instrumented):
+    """Only an instrumented cell keeps swap bookkeeping."""
     instrument.enable(instrumented)
     instrument.reset()
-    v = VersionedCas(0, Camera(), max_success=1)
+    v = VersionedCas(0, Camera())
     assert v.cas(0, 1) and v.cas(1, 2)
-    assert instrument.violation_count() == (1 if instrumented else 0)
     assert v.succ_cas_count == (2 if instrumented else 0)
 
 
