@@ -42,4 +42,7 @@ t.start()
 lengths = {len(q.scan()) for _ in range(2000)}
 stop.set()
 t.join()
-print("scan lengths observed while racing a churn thread:", sorted(lengths))
+# The churn thread holds the queue at 2 or 3 items; which lengths a run
+# happens to see depends on the schedule, so only the bound is printed.
+print("every scan while racing a churn thread saw 2 or 3 items:",
+      lengths <= {2, 3})

@@ -157,10 +157,6 @@ class LeafBst:
         if isinstance(key, _TopKey):
             raise ValueError("sentinel keys are reserved")
 
-    @staticmethod
-    def _is_real(leaf: BstLeaf) -> bool:
-        return not isinstance(leaf.key, _TopKey)
-
     # -- search ------------------------------------------------------------------
 
     def _search(self, key):
@@ -320,12 +316,14 @@ class LeafBst:
     def _collect(self, h, s, e) -> list:
         out = []
         node, stack = self._root, []
+        poison = reclaim.POISON_ON
         while True:
-            if reclaim.POISON_ON:
+            if poison:
                 reclaim.check_live(node)
             if isinstance(node, BstLeaf):
-                if self._is_real(node) and s <= node.key <= e:
-                    out.append(node.key)
+                key = node.key
+                if s <= key <= e and not isinstance(key, _TopKey):
+                    out.append(key)
             else:
                 if e >= node.key:
                     stack.append(node.right)
@@ -343,7 +341,7 @@ class LeafBst:
             node, stack = self._root, []
             while True:
                 if isinstance(node, BstLeaf):
-                    if self._is_real(node) and node.key > key:
+                    if node.key > key and not isinstance(node.key, _TopKey):
                         out.append(node.key)
                         if len(out) >= count:
                             return out
@@ -363,7 +361,8 @@ class LeafBst:
             node, stack = self._root, []
             while True:
                 if isinstance(node, BstLeaf):
-                    if (self._is_real(node) and start <= node.key < end
+                    if (start <= node.key < end
+                            and not isinstance(node.key, _TopKey)
                             and predicate(node.key)):
                         return node.key
                 else:
@@ -393,7 +392,7 @@ class LeafBst:
             node, d, stack = self._root, 0, []
             while True:
                 if isinstance(node, BstLeaf):
-                    if self._is_real(node) and d > deepest:
+                    if d > deepest and not isinstance(node.key, _TopKey):
                         deepest = d
                 else:
                     stack.append((node.right, d + 1))

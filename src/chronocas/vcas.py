@@ -6,16 +6,18 @@ the winner installs it afterwards with ``init_ts``, and every operation that
 meets a TBD head helps install it first.  That helping makes append +
 timestamp-read + timestamp-install appear atomic, so a snapshot read
 resolves any handle by walking to the first record stamped at or below it.
-``read`` and ``cas`` of both cell forms help inline (one gated step, then a
+``read``, ``cas`` and the walk help inline (one gated step, then a
 ``field_cas`` only when the head is still TBD); ``init_ts`` is the same
-check as a method, for the publish tail, the walk and racing helpers.
+check as a method, for the publish tail and racing helpers.
 :class:`VersionedPointer` holds that protocol once, and is itself the
 atomic word: the head record and the lock that guards its swap are slots of
 the pointer, as in the paper's vCAS object.  :class:`VersionedCas` wraps
 each value in a :class:`VNode`, and
 :class:`~chronocas.vcas_direct.DirectVersionedCas` threads the list through
 the user's nodes.  ``read`` and ``cas`` touch a constant number of shared
-locations; a snapshot read walks one link per newer version.
+locations; a snapshot read walks one link per newer version.  An indirect
+cell whose head is stamped at or below the handle returns the head's value
+without walking, unless the gate is armed or poisoning is on.
 
 A handle older than the cell's first record is rejected before any walk,
 and reclamation cuts a freed record's link to :data:`INVALID_NEXTV`, which a
@@ -143,11 +145,15 @@ class VersionedPointer:
             raise SnapshotPreconditionError(
                 f"handle {handle} predates this cell "
                 f"(its first version is stamped {self._floor_ts})")
-        if _gate.armed:
+        armed = _gate.armed
+        if armed:
             _gate.step()
         node = self._head
         if node is not None:
-            self.init_ts(node)
+            if armed:
+                _gate.step()
+            if node.ts == TBD:
+                field_cas(node, "ts", TBD, self._camera.peek_timestamp())
         view = self._log.view() if self._log is not None else None
         hops = 0
         poison = reclaim.POISON_ON
@@ -181,18 +187,20 @@ class VersionedCas(VersionedPointer):
         super().__init__(first, camera)
 
     def read(self):
-        if _gate.armed:
+        armed = _gate.armed
+        if armed:
             _gate.step()
         head = self._head
-        if (not _gate.armed or _help_step("no_read_help")) and head.ts == TBD:
+        if (not armed or _help_step("no_read_help")) and head.ts == TBD:
             field_cas(head, "ts", TBD, self._camera.peek_timestamp())
         return head.val
 
     def cas(self, old_val, new_val) -> bool:
-        if _gate.armed:
+        armed = _gate.armed
+        if armed:
             _gate.step()
         head = self._head
-        if ((not _gate.armed or _help_step("no_init_before_swing"))
+        if ((not armed or _help_step("no_init_before_swing"))
                 and head.ts == TBD):
             field_cas(head, "ts", TBD, self._camera.peek_timestamp())
         if head.val != old_val:
@@ -207,6 +215,15 @@ class VersionedCas(VersionedPointer):
             self._reclaim.retire(old)
 
     def read_snapshot(self, handle: int):
+        """The value this cell held at ``handle``.  A head stamped at or
+        below the handle is that value, returned without a walk (0 hops; the
+        floor check holds, as handle >= head.ts >= floor).  A TBD head, an
+        armed gate (its steps) or poisoning (the head's trap check) walk."""
+        head = self._head
+        if head.ts <= handle and not _gate.armed and not reclaim.POISON_ON:
+            if instrument.ENABLED:
+                instrument.note_hops(0)
+            return head.val
         return self._walk(handle).val
 
     def retire_head(self) -> None:

@@ -72,22 +72,24 @@ class DirectVersionedCas(VersionedPointer):
             field_cas(node, "nextv", INVALID_NEXTV, None)
 
     def read(self):
-        if _gate.armed:
+        armed = _gate.armed
+        if armed:
             _gate.step()
         head = self._head
         if head is not None:
-            if _gate.armed:
+            if armed:
                 _gate.step()
             if head.ts == TBD:
                 field_cas(head, "ts", TBD, self._camera.peek_timestamp())
         return head
 
     def cas(self, old_node, new_node) -> bool:
-        if _gate.armed:
+        armed = _gate.armed
+        if armed:
             _gate.step()
         head = self._head
         if head is not None:
-            if _gate.armed:
+            if armed:
                 _gate.step()
             if head.ts == TBD:
                 field_cas(head, "ts", TBD, self._camera.peek_timestamp())

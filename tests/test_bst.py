@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from chronocas import LeafBst
+from chronocas import LeafBst, instrument
 from chronocas.bench import WorkloadConfig, stress
-from chronocas.oracle import SeqLeafBst
+from chronocas.oracle import SeqLeafBst, SeqOrderedSet
 from chronocas._gate import StepCounter
 from chronocas.atomic import AtomicCell
 from chronocas.bst import INF1, INF2, BstInternal
@@ -255,6 +255,35 @@ def test_deep_tree_queries_match_oracle(mode):
     assert t.multisearch([1, 2000, 2001]) == ref.step(("multisearch", [1, 2000, 2001]))
     assert t.find(2000) == ref.step(("find", 2000))
     assert t.height() == ref.step(("height",)) == 2000
+
+
+@pytest.mark.parametrize("mode", ["indirect", "direct"])
+def test_held_handle_traversal_matches_the_cut(mode):
+    """Updates pass a held handle, so one traversal mixes 0-hop reads of
+    untouched cells with walks of updated ones; it must still return the
+    keys at the cut."""
+    instrument.enable(True)
+    instrument.reset()
+    rng = random.Random(31)
+    t, ref = LeafBst(mode=mode), SeqOrderedSet()
+    for k in rng.sample(range(1000), 400):
+        assert t.insert(k) == ref.step(("insert", k))
+    with t.epoch.pinned():
+        h = t.epoch.snapshot(t.camera)
+        cut = ref.copy()
+        for _ in range(2000):
+            op, k = rng.choice(("insert", "delete")), rng.randrange(1000)
+            assert getattr(t, op)(k) == ref.step((op, k))
+        assert ref.key() != cut.key()
+        instrument.reset()
+        for lo, hi in ((0, 999), (100, 350), (500, 501), (990, 2000)):
+            assert t._collect(h, lo, hi) == cut.step(("range", lo, hi))
+        for k in range(0, 1000, 37):
+            assert t._find_at(k, h) == cut.step(("find", k))
+        t.epoch.release_snapshot(h)
+    hops = instrument.hop_histogram()
+    assert hops.get(0) and max(hops) > 0     # 0-hop reads and walks
+    assert instrument.violation_count() == 0
 
 
 def test_plain_mode_baseline_works():

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chronocas.vcas as vcas_mod
-from chronocas import (Camera, DirectVersionedCas, EpochManager, TBD,
-                       VersionedCas, Versionable, instrument)
+from chronocas import (Camera, DirectVersionedCas, EpochManager,
+                       PoisonedReadError, TBD, VersionedCas, Versionable,
+                       instrument, reclaim)
 from chronocas._gate import StepCounter
 from chronocas.oracle import SeqVcas
 from chronocas.vcas import SnapshotPreconditionError, VNode
@@ -178,10 +179,64 @@ def test_gated_steps_of_each_access_are_exact():
 
     a, b = Versionable(), Versionable()
     d = DirectVersionedCas(a, cam)
+    empty = DirectVersionedCas(None, cam)
+    now = cam.take_snapshot()
     assert _steps(d.read) == 2
-    assert _steps(DirectVersionedCas(None, cam).read) == 1
+    assert _steps(lambda: d.read_snapshot(now)) == 2    # 0 hops
+    assert _steps(empty.read) == 1                      # head only
+    assert _steps(lambda: empty.read_snapshot(now)) == 1
+    assert empty.read() is None and empty.read_snapshot(now) is None
     # head, help check, link install, swap, init_ts (three as above)
     assert _steps(lambda: d.cas(a, b)) == 7
+
+
+def test_zero_hop_snapshot_read_returns_the_head_without_walking(monkeypatch):
+    """A head stamped at or below the handle is the value at the handle;
+    an older handle or a TBD head takes the walk."""
+    cam = Camera()
+    v = VersionedCas(0, cam)
+    h0 = cam.take_snapshot()
+    assert v.cas(0, 1)
+    h1 = cam.take_snapshot()
+    walks, walk = [], vcas_mod.VersionedPointer._walk
+
+    def counted_walk(cell, handle):
+        walks.append(handle)
+        return walk(cell, handle)
+    monkeypatch.setattr(vcas_mod.VersionedPointer, "_walk", counted_walk)
+    assert v.read_snapshot(h1) == 1 and walks == []
+    assert v.read_snapshot(h0) == 0 and walks == [h0]          # 1 hop
+    v._head = VNode(2, v._head)      # appended, not yet stamped
+    assert v.read_snapshot(h1) == 1 and walks == [h0, h1]      # helped, 1 hop
+    assert head(v).ts != TBD
+
+
+def test_zero_hop_snapshot_read_still_counts_its_hops():
+    instrument.enable(True)
+    instrument.reset()
+    cam = Camera()
+    v = VersionedCas(0, cam)
+    h = cam.take_snapshot()
+    assert v.read_snapshot(h) == 0
+    assert instrument.hop_histogram() == {0: 1}
+    assert v.cas(0, 1) and v.read_snapshot(h) == 0
+    assert instrument.hop_histogram() == {0: 1, 1: 1}
+    assert instrument.violation_count() == 0
+
+
+def test_poisoned_head_traps_a_zero_hop_snapshot_read():
+    reclaim.enable_poisoning(True)
+    cam = Camera()
+    mgr = EpochManager(advance_every=0)
+    v = VersionedCas(0, cam, mgr)
+    h = cam.take_snapshot()
+    v.retire_head()
+    for _ in range(3):
+        mgr.try_advance_epoch()
+    mgr.collect()
+    assert head(v)._poisoned and head(v).ts <= h
+    with pytest.raises(PoisonedReadError):
+        v.read_snapshot(h)
 
 
 @pytest.mark.parametrize("instrumented", [True, False])
