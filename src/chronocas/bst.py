@@ -25,6 +25,8 @@ depth two or more, so a deletable leaf always has a grandparent.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from . import reclaim
 from .atomic import AtomicCell, PlainCell
 from .camera import Camera
@@ -296,25 +298,42 @@ class LeafBst:
 
     # -- snapshot queries ----------------------------------------------------------
     #
-    # Traversals keep an explicit stack of child cells, pushed right before
-    # left, so they visit leaves in key order and resolve each cell at the
-    # handle only when they reach it; the tree is unbalanced, so recursion
-    # would overflow on deep trees.
+    # The ordered queries are folds over one lazy walk, ``_keys``.  It keeps
+    # an explicit stack of child cells, pushed right before left, so it
+    # visits leaves in key order and resolves each cell at the handle only
+    # when it reaches it; the tree is unbalanced, so recursion would overflow
+    # on deep trees.
 
     def range_query(self, start, end) -> list:
         if start > end:
             raise ValueError("range start exceeds end")
         with self.epoch.query(self._query_camera) as h:
-            return self._collect(h, start, end)
+            return list(self._keys(h, start, end))
 
     def range_sum(self, start, end):
         if start > end:
             raise ValueError("range start exceeds end")
         with self.epoch.query(self._query_camera) as h:
-            return sum(self._collect(h, start, end))
+            return sum(self._keys(h, start, end))
 
-    def _collect(self, h, s, e) -> list:
-        out = []
+    def succ(self, key, count: int) -> list:
+        if count < 1:
+            raise ValueError("succ needs count >= 1")
+        with self.epoch.query(self._query_camera) as h:
+            later = (k for k in self._keys(h, key, INF1) if k > key)
+            return list(islice(later, count))
+
+    def find_if(self, start, end, predicate):
+        """First key in [start, end) satisfying the predicate, else None."""
+        if start > end:
+            raise ValueError("range start exceeds end")
+        with self.epoch.query(self._query_camera) as h:
+            return next((k for k in self._keys(h, start, end)
+                         if k < end and predicate(k)), None)
+
+    def _keys(self, h, lo, hi):
+        """The user keys in [lo, hi] at handle ``h``, in order, read as the
+        consumer asks for them; subtrees outside the interval are pruned."""
         node, stack = self._root, []
         poison = reclaim.POISON_ON
         while True:
@@ -322,57 +341,16 @@ class LeafBst:
                 reclaim.check_live(node)
             if isinstance(node, BstLeaf):
                 key = node.key
-                if s <= key <= e and not isinstance(key, _TopKey):
-                    out.append(key)
+                if lo <= key <= hi and not isinstance(key, _TopKey):
+                    yield key
             else:
-                if e >= node.key:
+                if hi >= node.key:
                     stack.append(node.right)
-                if s < node.key:
+                if lo < node.key:
                     stack.append(node.left)
             if not stack:
-                return out
+                return
             node = stack.pop().read_snapshot(h)
-
-    def succ(self, key, count: int) -> list:
-        if count < 1:
-            raise ValueError("succ needs count >= 1")
-        with self.epoch.query(self._query_camera) as h:
-            out: list = []
-            node, stack = self._root, []
-            while True:
-                if isinstance(node, BstLeaf):
-                    if node.key > key and not isinstance(node.key, _TopKey):
-                        out.append(node.key)
-                        if len(out) >= count:
-                            return out
-                else:
-                    stack.append(node.right)
-                    if key < node.key:
-                        stack.append(node.left)
-                if not stack:
-                    return out
-                node = stack.pop().read_snapshot(h)
-
-    def find_if(self, start, end, predicate):
-        """First key in [start, end) satisfying the predicate, else None."""
-        if start > end:
-            raise ValueError("range start exceeds end")
-        with self.epoch.query(self._query_camera) as h:
-            node, stack = self._root, []
-            while True:
-                if isinstance(node, BstLeaf):
-                    if (start <= node.key < end
-                            and not isinstance(node.key, _TopKey)
-                            and predicate(node.key)):
-                        return node.key
-                else:
-                    if end > node.key:
-                        stack.append(node.right)
-                    if start < node.key:
-                        stack.append(node.left)
-                if not stack:
-                    return None
-                node = stack.pop().read_snapshot(h)
 
     def multisearch(self, keys) -> dict:
         with self.epoch.query(self._query_camera) as h:

@@ -14,6 +14,7 @@ marked or removed.
 from __future__ import annotations
 
 import threading
+from itertools import islice, takewhile
 
 from . import instrument, reclaim
 from .camera import Camera
@@ -68,8 +69,7 @@ class HarrisList:
         self.head = ListNode(NEG_INF)
         self.head.next = VersionedCas((self.tail, False), self.camera, self.epoch)
         self._count_lock = threading.Lock()
-        self.insert_count = 0
-        self.delete_count = 0
+        self._updates = 0
 
     # -- internal search with physical cleanup ----------------------------------
 
@@ -101,14 +101,11 @@ class HarrisList:
         self.epoch.retire(node)
         node.next.retire_head()
 
-    def _bump(self, which: str) -> None:
+    def _bump(self) -> None:
         """Count one update for the instrumented skip bound in
         :meth:`get_next`, its only reader; called only while instrumented."""
         with self._count_lock:
-            if which == "ins":
-                self.insert_count += 1
-            else:
-                self.delete_count += 1
+            self._updates += 1
 
     # -- updates -----------------------------------------------------------------
 
@@ -122,7 +119,7 @@ class HarrisList:
                 node.next = VersionedCas((curr, False), self.camera, self.epoch)
                 if pred.next.cas((curr, False), (node, False)):
                     if instrument.ENABLED:
-                        self._bump("ins")
+                        self._bump()
                     return True
 
     def delete(self, key) -> bool:
@@ -136,7 +133,7 @@ class HarrisList:
                     continue
                 if curr.next.cas((succ, False), (succ, True)):
                     if instrument.ENABLED:
-                        self._bump("del")
+                        self._bump()
                     if pred.next.cas((curr, False), (succ, False)):
                         self._retire_node(curr)
                     else:
@@ -177,44 +174,37 @@ class HarrisList:
 
     def _update_count(self) -> int:
         with self._count_lock:
-            return self.insert_count + self.delete_count
+            return self._updates
+
+    def _keys(self, h):
+        """The keys at handle ``h``, in order, read as the consumer asks."""
+        node = self.get_next(self.head, h)
+        while node is not self.tail:
+            yield node.key
+            node = self.get_next(node, h)
 
     def range_query(self, start, end) -> list:
         if start > end:
             raise ValueError("range start exceeds end")
         with self.epoch.query(self.camera) as h:
-            out = []
-            node = self.get_next(self.head, h)
-            while node is not self.tail and node.key <= end:
-                if node.key >= start:
-                    out.append(node.key)
-                node = self.get_next(node, h)
-            return out
+            return [k for k in takewhile(lambda k: k <= end, self._keys(h))
+                    if k >= start]
 
     def multisearch(self, keys) -> dict:
-        targets = sorted(set(keys))
-        with self.epoch.query(self.camera) as h:
-            found = {k: False for k in targets}
-            i = 0
-            node = self.get_next(self.head, h)
-            while node is not self.tail and i < len(targets):
-                while i < len(targets) and targets[i] < node.key:
-                    i += 1
-                if i < len(targets) and targets[i] == node.key:
-                    found[targets[i]] = True
-                    i += 1
-                node = self.get_next(node, h)
+        found = dict.fromkeys(sorted(keys), False)
+        if not found:
             return found
+        last = max(found)
+        with self.epoch.query(self.camera) as h:
+            for k in self._keys(h):
+                if k in found:
+                    found[k] = True
+                if k >= last:
+                    break
+        return found
 
     def ith(self, i: int):
         if i < 1:
             raise ValueError("ith index is 1-based")
         with self.epoch.query(self.camera) as h:
-            node = self.get_next(self.head, h)
-            seen = 0
-            while node is not self.tail:
-                seen += 1
-                if seen == i:
-                    return node.key
-                node = self.get_next(node, h)
-            return None
+            return next(islice(self._keys(h), i - 1, None), None)

@@ -13,7 +13,7 @@ Keys must not be None; None is the empty indication.
 
 from __future__ import annotations
 
-from . import instrument, reclaim
+from . import reclaim
 from .atomic import AtomicCell
 from .camera import Camera
 from .reclaim import EpochManager
@@ -113,12 +113,8 @@ class MsQueue:
         with self.epoch.query(self.camera) as h:
             node = self._head.read_snapshot(h)
             last = self._tail.read_snapshot(h)
-            visits = 1
             for _ in range(i):
                 if node is last:
                     return None
                 node = node.next.read()
-                visits += 1
-            if instrument.ENABLED and visits > i + 1:
-                instrument.violation(f"queue ith({i}) visited {visits} nodes")
             return node.key

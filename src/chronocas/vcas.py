@@ -89,10 +89,11 @@ class VersionedPointer:
     lock-guarded slot, plus the camera it is synchronized with.
 
     The head is read without the lock (one slot read after the gated step)
-    and swung only under it.  A successful swap appends to the instrumented
-    log, then runs the subclass's ``_appended(old, new)``, both inside the
-    critical section, before the new head becomes visible; ``_appended``
-    must take no gated step.
+    and swung only under it.  A successful swap runs the subclass's
+    ``_appended(old, new)``, then appends to the instrumented log, both
+    inside the critical section, before the new head becomes visible.
+    ``_appended`` must take no gated step; if it raises, nothing is logged
+    and the head is not swung.
     """
 
     __slots__ = ("_head", "_lock", "_camera", "_floor_ts", "_log",
@@ -124,10 +125,10 @@ class VersionedPointer:
         with self._lock:
             won = self._head is head
             if won:
+                self._appended(head, new)
                 if self._log is not None:
                     self._log.append(new)
                     self.succ_cas_count += 1
-                self._appended(head, new)
                 self._head = new
         if won:
             self.init_ts(new)

@@ -16,22 +16,10 @@ comparison is identity.
 
 from __future__ import annotations
 
-import threading
-
 from . import _gate
 from .atomic import _install_lock, field_cas
 from .camera import INVALID_NEXTV, TBD, Camera
 from .vcas import VersionedPointer, VersionRecord
-
-
-class _Republished(threading.local):
-    """Per thread: the node a publication found already published, for the
-    publishing ``cas`` to raise on once its swap is done."""
-
-    node = None
-
-
-_republished = _Republished()
 
 
 class RecordedOnceError(RuntimeError):
@@ -101,20 +89,16 @@ class DirectVersionedCas(VersionedPointer):
         # swing the head.  The link CAS can lose only to a normalization of
         # an initialized-but-unpublished node.
         field_cas(new_node, "nextv", INVALID_NEXTV, head)
-        if not self._swap(head, new_node):
-            return False
-        if _republished.node is new_node:
-            _republished.node = None
-            raise RecordedOnceError(f"{type(new_node).__name__} published twice")
-        return True
+        return self._swap(head, new_node)
 
     def _appended(self, old, new) -> None:
         # Displaced nodes are retired by the owning structure: in a
         # recorded-once client the displaced head is exactly the node the
-        # structure just unlinked.
+        # structure just unlinked.  A republication is refused here, before
+        # the swing, so the head never names a node another cell published.
         with _install_lock:
             if new._published:
-                _republished.node = new
+                raise RecordedOnceError(f"{type(new).__name__} published twice")
             new._published = True
 
     read_snapshot = VersionedPointer._walk   # the value is the record itself

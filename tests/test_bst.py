@@ -63,6 +63,8 @@ def test_succ_findif_multisearch_examples():
     assert t.succ(1, 2) == [5, 9]
     assert t.find_if(0, 10, lambda k: k % 4 == 1) == 1
     assert t.multisearch([5, 7]) == {5: True, 7: False}
+    assert t.multisearch([]) == {}
+    assert t.multisearch([9, 5, 9, 5]) == {5: True, 9: True}
     with pytest.raises(ValueError):
         t.succ(1, 0)
 
@@ -114,6 +116,11 @@ def _drive(tree, ref, seed, steps):
         elif roll < 0.92:
             ks = [rng.randint(0, 120) for _ in range(3)]
             assert tree.multisearch(ks) == ref.step(("multisearch", ks))
+        elif roll < 0.97:
+            s, m = rng.randint(0, 100), rng.randint(1, 7)
+            pred = lambda key: key % m == 0             # noqa: E731
+            assert (tree.find_if(s, s + 25, pred)
+                    == ref.step(("findif", s, s + 25, pred)))
         else:
             assert tree.height() == ref.step(("height",))
 
@@ -258,6 +265,27 @@ def test_deep_tree_queries_match_oracle(mode):
 
 
 @pytest.mark.parametrize("mode", ["indirect", "direct"])
+def test_early_exit_queries_read_only_what_they_return(mode):
+    """succ and a find_if whose first candidate matches stop the ordered
+    walk once answered: their gated steps stay within a small multiple of
+    the path length plus the keys returned, where collecting the interval
+    first would read the cells of thousands of keys."""
+    rng = random.Random(3)
+    t = LeafBst(mode=mode)
+    keys = rng.sample(range(4000), 2000)
+    for k in keys:
+        t.insert(k)
+    bound = 4 * (t.height() + 3)
+    for k in sorted(keys)[::97]:
+        with StepCounter() as steps:
+            assert len(t.succ(k, 3)) == 3
+        assert steps.count <= bound
+        with StepCounter() as steps:
+            assert t.find_if(k, 4000, lambda _: True) == k
+        assert steps.count <= bound
+
+
+@pytest.mark.parametrize("mode", ["indirect", "direct"])
 def test_held_handle_traversal_matches_the_cut(mode):
     """Updates pass a held handle, so one traversal mixes 0-hop reads of
     untouched cells with walks of updated ones; it must still return the
@@ -277,7 +305,7 @@ def test_held_handle_traversal_matches_the_cut(mode):
         assert ref.key() != cut.key()
         instrument.reset()
         for lo, hi in ((0, 999), (100, 350), (500, 501), (990, 2000)):
-            assert t._collect(h, lo, hi) == cut.step(("range", lo, hi))
+            assert list(t._keys(h, lo, hi)) == cut.step(("range", lo, hi))
         for k in range(0, 1000, 37):
             assert t._find_at(k, h) == cut.step(("find", k))
         t.epoch.release_snapshot(h)

@@ -31,6 +31,8 @@ def test_range_and_multisearch_and_ith():
         l.insert(k)
     assert l.range_query(2, 9) == [5, 9]
     assert l.multisearch([5, 7]) == {5: True, 7: False}
+    assert l.multisearch([]) == {}
+    assert l.multisearch([9, 5, 9, 5]) == {5: True, 9: True}
     assert l.ith(1) == 1
     assert l.ith(3) == 9
     assert l.ith(4) is None

@@ -126,6 +126,7 @@ def test_recorded_once_violation_detected():
     assert c1.cas(None, a)
     with pytest.raises(RecordedOnceError):
         c2.cas(None, a)
+    assert c2.read() is None      # refused before the swing
 
 
 def test_oracle_equivalence_single_thread():
