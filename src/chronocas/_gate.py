@@ -22,7 +22,9 @@ written only by the three entry points that install hooks,
 :class:`StepCounter` (on enter and exit).  Removing one hook leaves the flag
 set while the other is still live.  Install hooks only through these entry
 points; assigning ``_controller`` or ``_counter`` directly leaves the flag
-stale and the hook blind.
+stale and the hook blind.  Hooks are installed only between operations, so
+an operation may read :data:`armed` once and keep it (the ``LeafBst``
+descents do).
 
 Immutable fields (a version node's value and older-version link, node keys)
 are read without gating: once published they never change, so their reads

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from itertools import islice
 
-from . import reclaim
+from . import _gate, instrument, reclaim
 from .atomic import AtomicCell, PlainCell
-from .camera import Camera
+from .camera import TBD, Camera
 from .reclaim import EpochManager
 from .vcas import VersionedCas
 from .vcas_direct import DirectVersionedCas, Versionable
@@ -137,6 +137,8 @@ class LeafBst:
         self.camera = camera or Camera()
         self.epoch = epoch or EpochManager()
         self.mode = mode
+        # indirect child cells are read inline by the descents (see _descend)
+        self._inline = mode == "indirect"
         # plain builds answer queries from current values: no snapshot
         self._query_camera = None if mode == "plain" else self.camera
         self._root = self._internal(INF2, BstLeaf(INF1), BstLeaf(INF2))
@@ -160,28 +162,64 @@ class LeafBst:
             raise ValueError("sentinel keys are reserved")
 
     # -- search ------------------------------------------------------------------
+    #
+    # In the indirect build with the gate unarmed, the descents take a child
+    # cell's step inline: a stamped head is the value ``VersionedCas.read``
+    # returns (and ``read_snapshot`` at a handle at or above the stamp), so
+    # its value is used without the call.  Any other case calls the method,
+    # which helps a TBD head, walks, and takes the gated steps.  Each
+    # operation reads ``_gate.armed`` once: hooks are installed only between
+    # operations.
+
+    def _descend(self, key):
+        """The last three nodes on ``key``'s path, ``(gp, p, l)``, found by
+        child cells alone; ``gp`` is None when ``p`` is the root."""
+        inline = self._inline and not _gate.armed
+        gp = p = None
+        node = self._root
+        while isinstance(node, BstInternal):
+            gp, p = p, node
+            cell = node.left if key < node.key else node.right
+            if inline:
+                head = cell._head
+                node = head.val if head.ts != TBD else cell.read()
+            else:
+                node = cell.read()
+        return gp, p, node
 
     def _search(self, key):
-        gp = gpupdate = None
-        p = self._root
-        pupdate = p.update.read()
-        l = (p.left if key < p.key else p.right).read()
-        while isinstance(l, BstInternal):
-            gp, gpupdate = p, pupdate
-            p = l
+        """EFRB's update search: ``(gp, p, l)`` with the update words of
+        ``p`` and ``gp``, each read before a read of the child pointer it
+        guards that still names the node below.
+
+        EFRB reads every update word on the path, but an update uses only
+        the last two, and only through that order: a child pointer changes
+        only while its parent is flagged, and every flag names a fresh info
+        record, so a flag CAS that expects ``pupdate`` succeeds only if
+        ``p``'s child was still ``l`` in between.  The upper update words are
+        dead reads.  So the search descends by child cells alone, then reads
+        ``gp.update`` and re-reads ``gp``'s child, then ``p.update`` and
+        ``p``'s child, and restarts if a re-read names another node.  A node
+        is never relinked once unlinked (a deletion swings in the sibling, or
+        in the direct build a fresh copy), so an identity check cannot pass
+        on a node that left the path and came back (no ABA).  A restart
+        follows a successful child swing, so the search stays lock-free.
+        """
+        while True:
+            gp, p, l = self._descend(key)
+            gpupdate = None
+            if gp is not None:
+                gpupdate = gp.update.read()
+                if (gp.left if key < gp.key else gp.right).read() is not p:
+                    continue
             pupdate = p.update.read()
-            l = (p.left if key < p.key else p.right).read()
-        return gp, p, l, pupdate, gpupdate
+            if (p.left if key < p.key else p.right).read() is l:
+                return gp, p, l, pupdate, gpupdate
 
     def find(self, key) -> bool:
-        # Only updates need the update words _search reads: find descends
-        # by child cells alone, as the EFRB Find does.
         self._check_key(key)
         with self.epoch.maybe_pinned():
-            node = self._root
-            while isinstance(node, BstInternal):
-                node = (node.left if key < node.key else node.right).read()
-            return node.key == key
+            return self._descend(key)[2].key == key
 
     # -- helping -----------------------------------------------------------------
 
@@ -336,6 +374,10 @@ class LeafBst:
         consumer asks for them; subtrees outside the interval are pruned."""
         node, stack = self._root, []
         poison = reclaim.POISON_ON
+        # the inline step of _descend, at the handle; the hop histogram
+        # (instrument) and the head's trap check (poison) need the method
+        inline = (self._inline and not _gate.armed and not poison
+                  and not instrument.ENABLED)
         while True:
             if poison:
                 reclaim.check_live(node)
@@ -350,7 +392,12 @@ class LeafBst:
                     stack.append(node.left)
             if not stack:
                 return
-            node = stack.pop().read_snapshot(h)
+            cell = stack.pop()
+            if inline:
+                head = cell._head
+                node = head.val if head.ts <= h else cell.read_snapshot(h)
+            else:
+                node = cell.read_snapshot(h)
 
     def multisearch(self, keys) -> dict:
         with self.epoch.query(self._query_camera) as h:

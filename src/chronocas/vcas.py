@@ -15,9 +15,14 @@ the pointer, as in the paper's vCAS object.  :class:`VersionedCas` wraps
 each value in a :class:`VNode`, and
 :class:`~chronocas.vcas_direct.DirectVersionedCas` threads the list through
 the user's nodes.  ``read`` and ``cas`` touch a constant number of shared
-locations; a snapshot read walks one link per newer version.  An indirect
-cell whose head is stamped at or below the handle returns the head's value
-without walking, unless the gate is armed or poisoning is on.
+locations; a snapshot read walks one link per newer version.  A cell whose
+head is stamped at or below the handle returns the head's value without
+walking, unless the gate is armed or poisoning is on.
+
+:class:`~chronocas.bst.LeafBst` inlines two branches of
+:class:`VersionedCas` in its indirect descents: ``read``'s stamped-head
+case and ``read_snapshot``'s no-walk case.  A change to either branch must
+update both.
 
 A handle older than the cell's first record is rejected before any walk,
 and reclamation cuts a freed record's link to :data:`INVALID_NEXTV`, which a
@@ -188,6 +193,7 @@ class VersionedCas(VersionedPointer):
         super().__init__(first, camera)
 
     def read(self):
+        # LeafBst._descend inlines the unarmed, stamped-head case.
         armed = _gate.armed
         if armed:
             _gate.step()
@@ -219,7 +225,8 @@ class VersionedCas(VersionedPointer):
         """The value this cell held at ``handle``.  A head stamped at or
         below the handle is that value, returned without a walk (0 hops; the
         floor check holds, as handle >= head.ts >= floor).  A TBD head, an
-        armed gate (its steps) or poisoning (the head's trap check) walk."""
+        armed gate (its steps) or poisoning (the head's trap check) walk.
+        LeafBst._keys inlines the no-walk case."""
         head = self._head
         if head.ts <= handle and not _gate.armed and not reclaim.POISON_ON:
             if instrument.ENABLED:

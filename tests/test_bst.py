@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from chronocas import LeafBst, instrument
+from chronocas import TBD, LeafBst, VersionedCas, instrument
 from chronocas.bench import WorkloadConfig, stress
 from chronocas.oracle import SeqLeafBst, SeqOrderedSet
 from chronocas._gate import StepCounter
@@ -222,6 +222,109 @@ def test_find_takes_two_gated_steps_per_level(mode):
         with StepCounter() as steps:
             t.find(key)
         assert steps.count == 2 * depth
+
+
+def _path_cells(t, key):
+    """The child cells on ``key``'s path, root first."""
+    cells, node = [], t._root
+    while isinstance(node, BstInternal):
+        cells.append(node.left if key < node.key else node.right)
+        node = cells[-1].read()
+    return cells
+
+
+@pytest.mark.parametrize("mode", ["indirect", "direct"])
+def test_search_takes_two_gated_steps_per_level_plus_six(mode):
+    """The update search descends as find does, then reads gp's update
+    word and re-reads gp's child (1 + 2 steps), and the same for p; reading
+    every update word on the way down takes three steps per level."""
+    t = LeafBst(mode=mode)
+    rng = random.Random(8)
+    keys = rng.sample(range(1000), 200)
+    for k in keys:
+        t.insert(k)
+    for key in keys[:20] + [1000, -1]:
+        depth = len(_path_cells(t, key))
+        with StepCounter() as steps:
+            t._search(key)
+        assert steps.count == 2 * depth + 6
+
+
+def test_tbd_heads_on_the_path_are_helped_by_find_and_updates():
+    """A winner may pause between its swing and its init_ts, leaving a TBD
+    head on a path.  The inline step follows only stamped heads: it must
+    help a TBD one as VersionedCas.read does, on the upper levels too, where
+    the update search reads no cell a second time."""
+    rng = random.Random(12)
+    t, ref = LeafBst(), SeqOrderedSet()
+    for k in rng.sample(range(0, 1000, 2), 200):
+        assert t.insert(k) == ref.step(("insert", k))
+    for op, key in (("find", 500), ("find", 501), ("insert", 501),
+                    ("insert", 777), ("delete", 500)):
+        heads = [cell._head for cell in _path_cells(t, key)]
+        assert len(heads) >= 4
+        for record in heads:
+            record.ts = TBD
+        assert getattr(t, op)(key) == ref.step((op, key))
+        assert all(record.ts != TBD for record in heads)
+    assert t.range_query(0, 1000) == ref.step(("range", 0, 1000))
+
+
+def test_search_restarts_when_the_leaf_moved_after_the_descent():
+    """An insert that lands under p between the descent and the read of
+    p.update swings p's child away from l.  The re-read of that child must
+    see it and restart the search: a flag CAS against the update word read
+    after that insert would succeed, and the outer insert's swing from the
+    stale l would fail, returning True for a key that is missing."""
+    t, ref = LeafBst(), SeqOrderedSet()
+    for k in (10, 20, 30, 40):
+        assert t.insert(k) == ref.step(("insert", k))
+    nested = []
+
+    class InsertsOnFirstRead(AtomicCell):
+        __slots__ = ()
+
+        def read(self):
+            if not nested:
+                nested.append(26)
+                assert t.insert(26) == ref.step(("insert", 26))
+            return super().read()
+
+    _, p, l = t._descend(25)
+    assert t._descend(26)[2] is l                 # 26 lands on the same leaf
+    p.update = InsertsOnFirstRead(p.update.read())
+    assert t.insert(25) == ref.step(("insert", 25)) is True
+    assert nested == [26]
+    assert t.find(25) and t.find(26)
+    assert t.range_query(0, 100) == ref.step(("range", 0, 100))
+
+
+def test_unarmed_descents_follow_stamped_heads_without_a_call(monkeypatch):
+    """On a stamped indirect tree with the gate unarmed, find and the
+    ordered walk follow every child cell inline.  With instrumentation on,
+    the walk calls read_snapshot for every cell, so each read is in the hop
+    histogram: 2N cells for N keys (N internals and N + 1 leaves below the
+    root, less the pruned top sentinel leaf)."""
+    rng = random.Random(4)
+    t = LeafBst()
+    keys = sorted(rng.sample(range(1000), 300))
+    for k in keys:
+        t.insert(k)
+    calls = []
+    for name in ("read", "read_snapshot"):
+        def counted(cell, *args, _name=name, _method=getattr(VersionedCas, name)):
+            calls.append(_name)
+            return _method(cell, *args)
+        monkeypatch.setattr(VersionedCas, name, counted)
+    assert [t.find(k) for k in keys[::7]] == [True] * len(keys[::7])
+    assert not t.find(1000)
+    assert t.range_query(0, 999) == keys
+    assert calls == []
+    instrument.enable(True)
+    instrument.reset()
+    assert t.range_query(0, 999) == keys
+    assert calls == ["read_snapshot"] * (2 * len(keys))
+    assert sum(instrument.hop_histogram().values()) == 2 * len(keys)
 
 
 def test_recorded_once_holds_across_workload():

@@ -1,8 +1,10 @@
 import pytest
 
-from chronocas import (Camera, DirectVersionedCas, INVALID_NEXTV,
-                       RecordedOnceError, SnapshotPreconditionError,
-                       Versionable, VersionedCas)
+import chronocas.vcas as vcas_mod
+from chronocas import (Camera, DirectVersionedCas, EpochManager, INVALID_NEXTV,
+                       PoisonedReadError, RecordedOnceError,
+                       SnapshotPreconditionError, TBD, Versionable,
+                       VersionedCas, reclaim)
 from chronocas._gate import StepCounter
 from chronocas.lincheck import Recorder, explore
 from chronocas.oracle import SeqVcas
@@ -87,6 +89,44 @@ def test_nil_at_cut_reads_nil():
     assert cell.cas(None, a)
     assert cell.read_snapshot(h) is None
     assert cell.read_snapshot(early) is None
+
+
+def test_zero_hop_snapshot_read_returns_the_head_without_walking(monkeypatch):
+    """A head stamped at or below the handle is the node at the handle; an
+    older handle or a TBD head takes the walk."""
+    cam = Camera()
+    a, b, c = Node("a"), Node("b"), Node("c")
+    cell = DirectVersionedCas(a, cam)
+    h0 = cam.take_snapshot()
+    assert cell.cas(a, b)
+    h1 = cam.take_snapshot()
+    walks, walk = [], vcas_mod.VersionedPointer._walk
+
+    def counted_walk(cell, handle):
+        walks.append(handle)
+        return walk(cell, handle)
+    monkeypatch.setattr(vcas_mod.VersionedPointer, "_walk", counted_walk)
+    assert cell.read_snapshot(h1) is b and walks == []
+    assert cell.read_snapshot(h0) is a and walks == [h0]          # 1 hop
+    c.nextv, cell._head = b, c       # appended, not yet stamped
+    assert cell.read_snapshot(h1) is b and walks == [h0, h1]      # helped, 1 hop
+    assert c.ts != TBD
+
+
+def test_poisoned_head_traps_a_zero_hop_snapshot_read():
+    reclaim.enable_poisoning(True)
+    cam = Camera()
+    mgr = EpochManager(advance_every=0)
+    a = Node("a")
+    cell = DirectVersionedCas(a, cam)
+    h = cam.take_snapshot()
+    mgr.retire(a)
+    for _ in range(3):
+        mgr.try_advance_epoch()
+    mgr.collect()
+    assert a._poisoned and a.ts <= h
+    with pytest.raises(PoisonedReadError):
+        cell.read_snapshot(h)
 
 
 @pytest.mark.parametrize("direct", [False, True], ids=["indirect", "direct"])
