@@ -87,6 +87,10 @@ class BstInternal(Versionable):
         self.right = right_cell
         self.update = update_cell
 
+    def _free(self) -> None:
+        Versionable._free(self)
+        self.left = self.right = self.update = None
+
     def _poison(self) -> None:
         Versionable._poison(self)
         self.key = reclaim._TRAP
@@ -305,9 +309,6 @@ class LeafBst:
         if self._cas_child(op.gp, p, publish):
             self.epoch.retire(p)
             self.epoch.retire(l)
-            if self.mode == "indirect":
-                p.left.retire_head()
-                p.right.retire_head()
             if self.mode == "direct":
                 self.epoch.retire(sibling)
         if op.gp.update.cas((DFLAG, op), (CLEAN, op)):
@@ -416,6 +417,8 @@ class LeafBst:
             deepest = 0
             node, d, stack = self._root, 0, []
             while True:
+                if reclaim.POISON_ON:
+                    reclaim.check_live(node)
                 if isinstance(node, BstLeaf):
                     if d > deepest and not isinstance(node.key, _TopKey):
                         deepest = d

@@ -88,7 +88,7 @@ class HarrisList:
                     if not pred.next.cas((curr, False), (succ, False)):
                         restart = True
                         break
-                    self._retire_node(curr)
+                    self.epoch.retire(curr)
                     curr = succ
                 else:
                     if curr.key >= key:
@@ -96,10 +96,6 @@ class HarrisList:
                     pred, curr = curr, succ
             if restart:
                 continue
-
-    def _retire_node(self, node: ListNode) -> None:
-        self.epoch.retire(node)
-        node.next.retire_head()
 
     def _bump(self) -> None:
         """Count one update for the instrumented skip bound in
@@ -135,7 +131,7 @@ class HarrisList:
                     if instrument.ENABLED:
                         self._bump()
                     if pred.next.cas((curr, False), (succ, False)):
-                        self._retire_node(curr)
+                        self.epoch.retire(curr)
                     else:
                         self._find(key)   # leave cleanup to a fresh search
                     return True

@@ -8,25 +8,26 @@ at least ``e + 2``; the winner of an epoch advance sweeps inline, and
 ``collect`` performs the same certified sweep without advancing.
 
 Freeing is simulated: Python reclaims unreferenced objects, so freeing a
-record runs its ``_free`` hook, which severs what the record would otherwise
-keep alive.  A version record (an indirect ``VNode`` or a direct
+record runs its ``_free`` hook, the one place that decides what a freed
+record keeps alive.  A version record (an indirect ``VNode`` or a direct
 ``Versionable`` node, both ``vcas.VersionRecord``) cuts its version link to
-``INVALID_NEXTV``, the one value that ends a version list early, so history
-older than a freed version becomes garbage; each cell's version list then
-holds at most its head, its displaced records not yet freed and the one
-freed record that ends the list.  A BST info record drops its node
-references.  With poisoning armed, ``_poison`` runs instead: the record is
-stamped with a trap pattern (its link included) and any later algorithm
-read of it raises :class:`PoisonedReadError`.  The stress suites assert
-that the trap never fires.
+``INVALID_NEXTV``, the one value that ends a version list early, and drops
+what it carries: a ``VNode`` its value, a BST internal node its child cells
+and update word.  Each cell's version list then holds at most its head, its
+displaced records not yet freed and one freed record that ends it and holds
+nothing, so nothing else stays reachable through it.  A BST info record
+drops its node references.  With poisoning armed, ``_poison`` runs
+instead: the record is stamped with a trap pattern (its link included) and
+any later algorithm read of it raises :class:`PoisonedReadError`.  The
+stress suites assert that the trap never fires.
 
-Cutting a link is safe by the epoch argument below: a record retired in
-epoch ``e`` is freed only once every pinned thread announced at least
-``e + 2``, so each of them pinned after the record was displaced.  Its
-snapshot handle is then no older than the record's timestamp, which the
-displacing ``cas`` installed before the swap, so its walks stop at the
-record at the latest and never follow the cut link.  A walk that does reach
-one (a handle used without its pin) raises instead of returning a value.
+Freeing is safe by the epoch argument below.  A record retired in epoch
+``e`` is freed only once every pinned thread announced at least ``e + 2``,
+so each pinned after the thread that displaced or unlinked the record (and
+retired it under that pin) unpinned, by which time its successor's
+timestamp was installed.  Every pinned handle is at or above that stamp, so
+a pinned walk stops at the successor at the latest and never returns a
+freed record; one that meets it anyway (a handle used without its pin) raises.
 
 Queries must pin for their whole snapshot lifetime, and a thread holds at
 most one snapshot handle at a time; every data-structure query runs inside

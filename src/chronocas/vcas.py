@@ -25,9 +25,10 @@ case and ``read_snapshot``'s no-walk case.  A change to either branch must
 update both.
 
 A handle older than the cell's first record is rejected before any walk,
-and reclamation cuts a freed record's link to :data:`INVALID_NEXTV`, which a
-walk raises on (under its handle's pin it never reaches one, see
-:mod:`chronocas.reclaim`); both raise :class:`SnapshotPreconditionError`.
+and a freed record holds nothing: its link is cut to :data:`INVALID_NEXTV`
+and its value dropped, so a walk raises on any record with that link (a
+published head never has it; a pinned walk never meets one, see
+:mod:`chronocas.reclaim`).  Both raise :class:`SnapshotPreconditionError`.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ class VersionRecord:
 
 
 class VNode(VersionRecord):
-    """One version of an indirect cell: immutable value, immutable link."""
+    """One version of an indirect cell; value and link fixed until freed."""
 
     __slots__ = ("val",)
 
@@ -83,6 +84,10 @@ class VNode(VersionRecord):
         self.nextv = nextv
         self.ts = TBD
         self._poisoned = False
+
+    def _free(self) -> None:
+        VersionRecord._free(self)
+        self.val = None
 
     def _poison(self) -> None:
         VersionRecord._poison(self)
@@ -146,7 +151,8 @@ class VersionedPointer:
         return False
 
     def _walk(self, handle: int):
-        """The record (or None) this cell held at ``handle``."""
+        """The record (or None) this cell held at ``handle``, never a freed
+        one: a freed record on the walk raises."""
         if handle < self._floor_ts:
             raise SnapshotPreconditionError(
                 f"handle {handle} predates this cell "
@@ -163,17 +169,17 @@ class VersionedPointer:
         view = self._log.view() if self._log is not None else None
         hops = 0
         poison = reclaim.POISON_ON
-        while node is not None and node.ts > handle:
+        while node is not None:
             if poison:
                 reclaim.check_live(node)
-            node = node.nextv
-            if node is INVALID_NEXTV:
+            if node.nextv is INVALID_NEXTV:
                 raise SnapshotPreconditionError(
                     f"handle {handle} predates this cell's retained history "
                     f"(a version on its walk was freed)")
+            if node.ts <= handle:
+                break
+            node = node.nextv
             hops += 1
-        if poison and node is not None:
-            reclaim.check_live(node)
         if instrument.ENABLED:
             instrument.note_walk(view, handle, hops)
         return node
@@ -233,10 +239,3 @@ class VersionedCas(VersionedPointer):
                 instrument.note_hops(0)
             return head.val
         return self._walk(handle).val
-
-    def retire_head(self) -> None:
-        """Retire the current head record with its owning node."""
-        if self._reclaim is not None:
-            if _gate.armed:
-                _gate.step()
-            self._reclaim.retire(self._head)

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from chronocas import TBD, LeafBst, VersionedCas, instrument
+from chronocas import (TBD, LeafBst, PoisonedReadError, VersionedCas,
+                       instrument, reclaim)
 from chronocas.bench import WorkloadConfig, stress
 from chronocas.oracle import SeqLeafBst, SeqOrderedSet
 from chronocas._gate import StepCounter
@@ -84,6 +85,20 @@ def test_height_convention():
     assert t.height() == 1          # single key
     t.insert(3)
     assert t.height() == 2
+
+
+def test_height_traps_a_poisoned_internal_node():
+    """height checks each node it visits, as _keys does: a freed internal
+    node still linked traps rather than read as a live subtree."""
+    reclaim.enable_poisoning(True)
+    t = LeafBst()
+    for k in (5, 3, 8):
+        t.insert(k)
+    inner = t._root.left.read()
+    assert isinstance(inner, BstInternal)
+    inner._poison()
+    with pytest.raises(PoisonedReadError):
+        t.height()
 
 
 def test_sentinel_keys_rejected():
@@ -349,6 +364,16 @@ def test_randomized_concurrent_windows_accepted(structure):
                     windows=40)
     assert report.rejected == 0, report.first_witness
     assert report.accepted > 0
+
+
+def test_poisoned_direct_windows_never_trap():
+    """Criterion 6's poisoned stress on the direct build, whose freed nodes
+    end version lists themselves: no operation may read one."""
+    reclaim.enable_poisoning(True)
+    report = stress(WorkloadConfig(structure="bst-direct", prefill=3,
+                                   threads=4, seed=29),
+                    windows=400, ops_per_window=3)
+    assert report.passed, report.first_witness
 
 
 @pytest.mark.parametrize("mode", ["indirect", "direct", "plain"])

@@ -1,9 +1,12 @@
 """Reclamation keeps reachable history flat however long the run.
 
 Freed version records cut their version links, so each cell keeps only its
-unfreed versions; with instrumentation on, each cell's step-bound log drops
-its freed prefix too.  Companion to acceptance criterion 6, which checks the
-retired-record counter rather than the memory actually reachable.
+unfreed versions, and hold nothing else: the freed record that ends a
+cell's list keeps neither a value nor a subtree alive, so once every limbo
+bag is freed exactly the live nodes are reachable.  With instrumentation
+on, each cell's step-bound log drops its freed prefix too.  Companion to
+acceptance criterion 6, which checks the retired-record counter rather than
+the memory actually reachable.
 """
 
 import gc
@@ -12,22 +15,25 @@ import tracemalloc
 
 import pytest
 
-from chronocas import HarrisList, LeafBst, MsQueue, instrument
-from chronocas.vcas import VNode
+from chronocas import (INVALID_NEXTV, TBD, HarrisList, LeafBst, MsQueue,
+                       instrument)
+from chronocas.bst import BstInternal, BstLeaf
+from chronocas.harris_list import ListNode
+from chronocas.msqueue import QueueNode
+from chronocas.vcas import VersionRecord, VNode
 from chronocas.vcas_direct import Versionable
 
 SHORT, LONG = 5_000, 20_000
 
 
-def _reachable(root, cls) -> int:
-    """Instances of ``cls`` reachable from ``root`` through chronocas objects
-    and plain containers (limbo bags and step-bound logs included)."""
+def _objects(root):
+    """Every object reachable from ``root`` through chronocas objects and
+    plain containers (limbo bags and step-bound logs included)."""
     containers = (list, tuple, dict, set)
-    seen, todo, count = {id(root)}, [root], 0
+    seen, todo = {id(root)}, [root]
     while todo:
         obj = todo.pop()
-        if isinstance(obj, cls):
-            count += 1
+        yield obj
         for ref in gc.get_referents(obj):
             kind = type(ref)
             if id(ref) in seen or not (kind in containers
@@ -35,7 +41,11 @@ def _reachable(root, cls) -> int:
                 continue
             seen.add(id(ref))
             todo.append(ref)
-    return count
+
+
+def _reachable(root, cls) -> int:
+    """Instances of ``cls`` reachable from ``root``, as :func:`_objects`."""
+    return sum(isinstance(obj, cls) for obj in _objects(root))
 
 
 def _queue(rounds):
@@ -99,3 +109,77 @@ def test_history_stays_flat(case, instrumented):
     assert counts[1] <= 2 * counts[0] + 100, counts
     assert sizes[1] <= 2 * sizes[0] + 64 * 1024, sizes
     assert instrument.violation_count() == 0, instrument.violations()
+
+
+def _freed(record) -> bool:
+    """Reclamation cut this version record's link.  A direct node that no
+    cell holds yet (the BST root) carries the same link, but no stamp."""
+    return record.nextv is INVALID_NEXTV and record.ts != TBD
+
+
+def _set_churn(make):
+    def run(rounds):
+        rng = random.Random(3)
+        structure = make()
+        for _ in range(rounds):
+            k = rng.randrange(100)
+            if rng.random() < 0.5:
+                structure.insert(k)
+            else:
+                structure.delete(k)
+        return structure
+    return run
+
+
+def _long_queue(rounds):
+    q = MsQueue()
+    for i in range(50):
+        q.enqueue(i)
+    for i in range(rounds):
+        q.enqueue(i)
+        q.dequeue()
+    return q
+
+
+KEEP_NOTHING = {
+    "bst-indirect": _bst("indirect"),
+    "bst-direct": _bst("direct"),
+    "list": _set_churn(HarrisList),
+    "queue": _long_queue,
+}
+
+
+def _live_nodes(structure) -> dict:
+    """Each node class with the count the current state needs: one node per
+    key plus the sentinels, or the queue's dummy."""
+    if isinstance(structure, LeafBst):
+        n = len(structure.range_query(-1, 400))
+        return {BstInternal: n + 1, BstLeaf: n + 2}
+    if isinstance(structure, HarrisList):
+        return {ListNode: len(structure.range_query(-1, 400)) + 2}
+    return {QueueNode: len(structure.scan()) + 1}
+
+
+@pytest.mark.parametrize("case", list(KEEP_NOTHING))
+def test_freed_records_keep_nothing_alive(case):
+    """With every limbo bag freed, the only freed records still reachable
+    are the ones ending a cell's list, and they hold no value, cell or
+    subtree: the reachable nodes are exactly the live ones."""
+    structure = KEEP_NOTHING[case](3_000)
+    mgr = structure.epoch
+    for _ in range(3):
+        mgr.try_advance_epoch()
+    mgr.collect()
+    assert mgr.live_retired == 0
+    live = _live_nodes(structure)
+    reached = dict.fromkeys(live, 0)
+    holders = []
+    for obj in _objects(structure):
+        freed = isinstance(obj, VersionRecord) and _freed(obj)
+        if freed and any(getattr(obj, name, None) is not None
+                         for name in ("val", "left", "right", "update")):
+            holders.append(obj)
+        if type(obj) in reached and not freed:
+            reached[type(obj)] += 1
+    assert not holders, f"{len(holders)} freed records hold something"
+    assert reached == live

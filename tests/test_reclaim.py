@@ -257,7 +257,7 @@ def test_free_cuts_indirect_links_without_poisoning():
     _free_everything(mgr)
     assert all(rec.nextv is INVALID_NEXTV and not rec._poisoned
                for rec in displaced)
-    assert [rec.val for rec in displaced] == [0, 1, 2, 3, 4]
+    assert all(rec.val is None for rec in displaced)   # freed: holds nothing
     assert len(version_chain(cell)) == 2   # head plus the freed record ending it
     assert cell.read() == 5
 
@@ -282,12 +282,15 @@ def test_poisoned_free_still_traps_links(poisoning):
                          ids=["indirect", "direct"])
 def test_walk_across_freed_record_raises(history):
     """A handle kept without its pin would walk into freed history: the
-    walk must fail loudly, never return the cut link as a value."""
-    cam, mgr, cell, _, stale = history(5)
+    walk must fail loudly, never return the cut link as a value, nor a
+    freed record where the walk stops (it no longer holds its value)."""
+    cam, mgr, cell, displaced, oldest = history(5)
+    at_freed = displaced[-1].ts     # the cell's value was a freed record
     fresh = cam.take_snapshot()
     _free_everything(mgr)
-    with pytest.raises(SnapshotPreconditionError, match="retained history"):
-        cell.read_snapshot(stale)
+    for stale in (oldest, at_freed):
+        with pytest.raises(SnapshotPreconditionError, match="retained history"):
+            cell.read_snapshot(stale)
     current = cell.read_snapshot(fresh)
     assert (current if history is _indirect_history else current.payload) == 5
 
