@@ -1,9 +1,10 @@
 """Ordered sets with atomic range queries: Harris list and leaf-BST.
 
-Both structures answer multi-point queries (range, multisearch, ith, succ,
-findif, range_sum, height) against a single snapshot cut.  The demo races
-paired inserts against range queries: a query either sees a whole pair or
-none of it unless it lands inside the updater's two-step window.
+Both structures answer the same multi-point queries (range, range_sum,
+succ, findif, ith, multisearch) against a single snapshot cut; only the
+tree answers the shape query height.  The demo races paired inserts against
+range queries: a query either sees a whole pair or none of it unless it
+lands inside the updater's two-step window.
 """
 
 import threading
@@ -17,6 +18,7 @@ for k in (1, 5, 9):
 print("list range [2,9]:", l.range_query(2, 9))
 print("list multisearch:", l.multisearch([5, 7]))
 print("list 2nd smallest:", l.ith(2))
+print("list succ(1, 2):", l.succ(1, 2))
 
 t = LeafBst()
 for k in (1, 5, 9):
@@ -24,6 +26,7 @@ for k in (1, 5, 9):
 print("bst range [2,9]:", t.range_query(2, 9))
 print("bst range_sum [2,9]:", t.range_sum(2, 9))
 print("bst succ(1, 2):", t.succ(1, 2))
+print("bst 2nd smallest:", t.ith(2))
 print("bst findif k%4==1 in [0,10):", t.find_if(0, 10, lambda k: k % 4 == 1))
 print("bst height:", t.height())
 

@@ -13,8 +13,9 @@ benchmark/stress CLI (``chronocas-bench``).
 from .atomic import AtomicCell, PlainCell
 from .bst import LeafBst
 from .camera import INVALID_NEXTV, TBD, Camera
-from .harris_list import NEG_INF, POS_INF, HarrisList
+from .harris_list import HarrisList
 from .msqueue import MsQueue
+from .ordered import NEG_INF, POS_INF
 from .reclaim import EpochManager, PoisonedReadError, ReclaimError
 from .vcas import SnapshotPreconditionError, VersionedCas, VNode
 from .vcas_direct import DirectVersionedCas, RecordedOnceError, Versionable

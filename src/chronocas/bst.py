@@ -25,11 +25,10 @@ depth two or more, so a deletable leaf always has a grandparent.
 
 from __future__ import annotations
 
-from itertools import islice
-
 from . import _gate, instrument, reclaim
 from .atomic import AtomicCell, PlainCell
 from .camera import TBD, Camera
+from .ordered import Bound, OrderedQueries
 from .reclaim import EpochManager
 from .vcas import VersionedCas
 from .vcas_direct import DirectVersionedCas, Versionable
@@ -37,32 +36,10 @@ from .vcas_direct import DirectVersionedCas, Versionable
 CLEAN, IFLAG, DFLAG, MARK = 0, 1, 2, 3
 
 
-class _TopKey:
-    """Routing key above every user key; ranked among themselves."""
-
-    __slots__ = ("_rank",)
-
-    def __init__(self, rank: int) -> None:
-        self._rank = rank
-
-    def __lt__(self, other):
-        if isinstance(other, _TopKey):
-            return self._rank < other._rank
-        return False
-    def __gt__(self, other):
-        if isinstance(other, _TopKey):
-            return self._rank > other._rank
-        return True
-    def __le__(self, other):
-        return self is other or self < other
-    def __ge__(self, other):
-        return self is other or self > other
-    def __repr__(self):
-        return f"<top{self._rank}>"
-
-
-INF1 = _TopKey(1)
-INF2 = _TopKey(2)
+# Routing sentinels, above every user key and above POS_INF, the top of a
+# whole-set query's interval, so no walk a query asks for yields them.
+INF1 = Bound(2)
+INF2 = Bound(3)
 
 
 class BstLeaf(Versionable):
@@ -132,7 +109,7 @@ class DInfo:
         self._poisoned = True
 
 
-class LeafBst:
+class LeafBst(OrderedQueries):
     def __init__(self, camera: Camera | None = None,
                  epoch: EpochManager | None = None,
                  mode: str = "indirect") -> None:
@@ -143,8 +120,6 @@ class LeafBst:
         self.mode = mode
         # indirect child cells are read inline by the descents (see _descend)
         self._inline = mode == "indirect"
-        # plain builds answer queries from current values: no snapshot
-        self._query_camera = None if mode == "plain" else self.camera
         self._root = self._internal(INF2, BstLeaf(INF1), BstLeaf(INF2))
 
     # -- construction helpers ----------------------------------------------------
@@ -160,25 +135,27 @@ class LeafBst:
         return BstInternal(key, self._cell(left_node), self._cell(right_node),
                            AtomicCell((CLEAN, None)))
 
-    @staticmethod
-    def _check_key(key) -> None:
-        if isinstance(key, _TopKey):
-            raise ValueError("sentinel keys are reserved")
-
     # -- search ------------------------------------------------------------------
     #
     # In the indirect build with the gate unarmed, the descents take a child
     # cell's step inline: a stamped head is the value ``VersionedCas.read``
     # returns (and ``read_snapshot`` at a handle at or above the stamp), so
     # its value is used without the call.  Any other case calls the method,
-    # which helps a TBD head, walks, and takes the gated steps.  Each
-    # operation reads ``_gate.armed`` once: hooks are installed only between
-    # operations.
+    # which helps a TBD head, walks, and takes the gated steps; at a handle
+    # the hop histogram (instrument) and the head's trap check (poison) need
+    # the method too.  Each operation reads ``_gate.armed`` once: hooks are
+    # installed only between operations.
 
-    def _descend(self, key):
+    def _descend(self, key, h=None):
         """The last three nodes on ``key``'s path, ``(gp, p, l)``, found by
-        child cells alone; ``gp`` is None when ``p`` is the root."""
+        child cells alone, read now or, given a handle ``h``, at ``h``;
+        ``gp`` is None when ``p`` is the root."""
         inline = self._inline and not _gate.armed
+        if h is None:
+            newest = TBD - 1
+        else:
+            newest = h
+            inline = inline and not reclaim.POISON_ON and not instrument.ENABLED
         gp = p = None
         node = self._root
         while isinstance(node, BstInternal):
@@ -186,9 +163,10 @@ class LeafBst:
             cell = node.left if key < node.key else node.right
             if inline:
                 head = cell._head
-                node = head.val if head.ts != TBD else cell.read()
-            else:
-                node = cell.read()
+                if head.ts <= newest:
+                    node = head.val
+                    continue
+            node = cell.read() if h is None else cell.read_snapshot(h)
         return gp, p, node
 
     def _search(self, key):
@@ -337,46 +315,18 @@ class LeafBst:
 
     # -- snapshot queries ----------------------------------------------------------
     #
-    # The ordered queries are folds over one lazy walk, ``_keys``.  It keeps
-    # an explicit stack of child cells, pushed right before left, so it
-    # visits leaves in key order and resolves each cell at the handle only
-    # when it reaches it; the tree is unbalanced, so recursion would overflow
-    # on deep trees.
-
-    def range_query(self, start, end) -> list:
-        if start > end:
-            raise ValueError("range start exceeds end")
-        with self.epoch.query(self._query_camera) as h:
-            return list(self._keys(h, start, end))
-
-    def range_sum(self, start, end):
-        if start > end:
-            raise ValueError("range start exceeds end")
-        with self.epoch.query(self._query_camera) as h:
-            return sum(self._keys(h, start, end))
-
-    def succ(self, key, count: int) -> list:
-        if count < 1:
-            raise ValueError("succ needs count >= 1")
-        with self.epoch.query(self._query_camera) as h:
-            later = (k for k in self._keys(h, key, INF1) if k > key)
-            return list(islice(later, count))
-
-    def find_if(self, start, end, predicate):
-        """First key in [start, end) satisfying the predicate, else None."""
-        if start > end:
-            raise ValueError("range start exceeds end")
-        with self.epoch.query(self._query_camera) as h:
-            return next((k for k in self._keys(h, start, end)
-                         if k < end and predicate(k)), None)
+    # The ordered queries (``OrderedQueries``) are folds over one lazy walk,
+    # ``_keys``.  It keeps an explicit stack of child cells, pushed right
+    # before left, so it visits leaves in key order and resolves each cell at
+    # the handle only when it reaches it; the tree is unbalanced, so
+    # recursion would overflow on deep trees.
 
     def _keys(self, h, lo, hi):
         """The user keys in [lo, hi] at handle ``h``, in order, read as the
         consumer asks for them; subtrees outside the interval are pruned."""
         node, stack = self._root, []
         poison = reclaim.POISON_ON
-        # the inline step of _descend, at the handle; the hop histogram
-        # (instrument) and the head's trap check (poison) need the method
+        # the inline step of _descend at a handle
         inline = (self._inline and not _gate.armed and not poison
                   and not instrument.ENABLED)
         while True:
@@ -384,7 +334,7 @@ class LeafBst:
                 reclaim.check_live(node)
             if isinstance(node, BstLeaf):
                 key = node.key
-                if lo <= key <= hi and not isinstance(key, _TopKey):
+                if lo <= key <= hi:
                     yield key
             else:
                 if hi >= node.key:
@@ -401,26 +351,20 @@ class LeafBst:
                 node = cell.read_snapshot(h)
 
     def multisearch(self, keys) -> dict:
-        with self.epoch.query(self._query_camera) as h:
-            return {k: self._find_at(k, h) for k in keys}
-
-    def _find_at(self, key, h) -> bool:
-        node = self._root
-        while isinstance(node, BstInternal):
-            node = (node.left if key < node.key else node.right).read_snapshot(h)
-        return node.key == key
+        with self.epoch.query(self.camera) as h:
+            return {k: self._descend(k, h)[2].key == k for k in keys}
 
     def height(self) -> int:
         """Longest path through the key-bearing part of the tree at the cut:
         0 for an empty set, 1 for a single key."""
-        with self.epoch.query(self._query_camera) as h:
+        with self.epoch.query(self.camera) as h:
             deepest = 0
             node, d, stack = self._root, 0, []
             while True:
                 if reclaim.POISON_ON:
                     reclaim.check_live(node)
                 if isinstance(node, BstLeaf):
-                    if d > deepest and not isinstance(node.key, _TopKey):
+                    if d > deepest and not isinstance(node.key, Bound):
                         deepest = d
                 else:
                     stack.append((node.right, d + 1))

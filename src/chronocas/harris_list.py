@@ -1,4 +1,4 @@
-"""Harris sorted linked list with atomic range/multisearch/ith queries.
+"""Harris sorted linked list with atomic multi-point queries.
 
 Each node's next field is one versioned cell holding a (link, marked) pair;
 marking a node is a versioned CAS from (link, False) to (link, True), so the
@@ -8,42 +8,18 @@ skip any node whose own next is marked at that cut, even if the physical
 unlink happened later.
 
 Sentinel nodes bound the list below and above every key; they are never
-marked or removed.
+marked or removed, and no operation takes their keys.
 """
 
 from __future__ import annotations
 
 import threading
-from itertools import islice, takewhile
 
 from . import instrument, reclaim
 from .camera import Camera
+from .ordered import NEG_INF, POS_INF, OrderedQueries
 from .reclaim import EpochManager
 from .vcas import VersionedCas
-
-
-class _Bound:
-    """Key strictly below (sign -1) or above (sign +1) every user key."""
-
-    __slots__ = ("_sign",)
-
-    def __init__(self, sign: int) -> None:
-        self._sign = sign
-
-    def __lt__(self, other):
-        return self is not other and self._sign < 0
-    def __gt__(self, other):
-        return self is not other and self._sign > 0
-    def __le__(self, other):
-        return self is other or self._sign < 0
-    def __ge__(self, other):
-        return self is other or self._sign > 0
-    def __repr__(self):
-        return "-inf" if self._sign < 0 else "+inf"
-
-
-NEG_INF = _Bound(-1)
-POS_INF = _Bound(+1)
 
 
 class ListNode:
@@ -59,7 +35,7 @@ class ListNode:
         self.key = reclaim._TRAP
 
 
-class HarrisList:
+class HarrisList(OrderedQueries):
     def __init__(self, camera: Camera | None = None,
                  epoch: EpochManager | None = None) -> None:
         self.camera = camera or Camera()
@@ -79,23 +55,19 @@ class HarrisList:
         while True:
             pred = self.head
             curr = pred.next.read()[0]
-            restart = False
             while True:
                 if reclaim.POISON_ON:
                     reclaim.check_live(curr)
                 succ, cmark = curr.next.read()
                 if cmark:
                     if not pred.next.cas((curr, False), (succ, False)):
-                        restart = True
-                        break
+                        break   # restart from the head
                     self.epoch.retire(curr)
                     curr = succ
                 else:
                     if curr.key >= key:
                         return pred, curr
                     pred, curr = curr, succ
-            if restart:
-                continue
 
     def _bump(self) -> None:
         """Count one update for the instrumented skip bound in
@@ -106,6 +78,7 @@ class HarrisList:
     # -- updates -----------------------------------------------------------------
 
     def insert(self, key) -> bool:
+        self._check_key(key)
         with self.epoch.maybe_pinned():
             while True:
                 pred, curr = self._find(key)
@@ -119,6 +92,7 @@ class HarrisList:
                     return True
 
     def delete(self, key) -> bool:
+        self._check_key(key)
         with self.epoch.maybe_pinned():
             while True:
                 pred, curr = self._find(key)
@@ -137,6 +111,7 @@ class HarrisList:
                     return True
 
     def contains(self, key) -> bool:
+        self._check_key(key)
         with self.epoch.maybe_pinned():
             curr = self.head.next.read()[0]
             while curr.key < key:
@@ -172,35 +147,20 @@ class HarrisList:
         with self._count_lock:
             return self._updates
 
-    def _keys(self, h):
-        """The keys at handle ``h``, in order, read as the consumer asks."""
+    def _keys(self, h, lo, hi):
+        """The keys in [lo, hi] at handle ``h``, in order, read as the
+        consumer asks for them."""
         node = self.get_next(self.head, h)
-        while node is not self.tail:
-            yield node.key
+        while node is not self.tail and node.key <= hi:
+            if node.key >= lo:
+                yield node.key
             node = self.get_next(node, h)
 
-    def range_query(self, start, end) -> list:
-        if start > end:
-            raise ValueError("range start exceeds end")
-        with self.epoch.query(self.camera) as h:
-            return [k for k in takewhile(lambda k: k <= end, self._keys(h))
-                    if k >= start]
-
     def multisearch(self, keys) -> dict:
-        found = dict.fromkeys(sorted(keys), False)
-        if not found:
-            return found
-        last = max(found)
-        with self.epoch.query(self.camera) as h:
-            for k in self._keys(h):
-                if k in found:
-                    found[k] = True
-                if k >= last:
-                    break
+        found = dict.fromkeys(keys, False)
+        if found:
+            with self.epoch.query(self.camera) as h:
+                for k in self._keys(h, min(found), max(found)):
+                    if k in found:
+                        found[k] = True
         return found
-
-    def ith(self, i: int):
-        if i < 1:
-            raise ValueError("ith index is 1-based")
-        with self.epoch.query(self.camera) as h:
-            return next(islice(self._keys(h), i - 1, None), None)

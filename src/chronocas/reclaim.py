@@ -205,13 +205,11 @@ class EpochManager:
     @contextmanager
     def query(self, camera):
         """Pin (unless already pinned, as ``maybe_pinned``) and hold one
-        snapshot handle of ``camera`` for the block; yields the handle.
-        With ``camera`` None no snapshot is taken and None is yielded."""
+        snapshot handle of ``camera`` for the block; yields the handle."""
         guard = None if self.is_pinned() else self.pin()
         handle = None
         try:
-            if camera is not None:
-                handle = self.snapshot(camera)
+            handle = self.snapshot(camera)
             yield handle
         finally:
             if handle is not None:

@@ -134,6 +134,16 @@ class _OneFailingFind(LeafBst):
         return super().find(key)
 
 
+@pytest.mark.parametrize("structure", ["list", "bst", "bst-direct"])
+def test_sorted_prefill_inserts_every_key(structure):
+    """``--sorted`` prefills from 1024-key chunks shared by the threads."""
+    config = WorkloadConfig(structure=structure, prefill=2500, threads=3,
+                            sorted_insert=True)
+    s = bench.build_structure(structure)
+    bench._prefill(s, config)
+    assert s.range_query(1, 2500) == list(range(1, 2501))
+
+
 def test_worker_error_fails_the_run(monkeypatch, capsys):
     monkeypatch.setattr(bench, "build_structure", lambda name: _OneFailingFind())
     threads_before = threading.active_count()

@@ -4,8 +4,9 @@ import time
 
 import pytest
 
-from chronocas import HarrisList, instrument
+from chronocas import NEG_INF, POS_INF, HarrisList, LeafBst, instrument
 from chronocas.bench import WorkloadConfig, stress
+from chronocas.bst import INF1, INF2
 from chronocas.oracle import SeqOrderedSet
 from test_reclaim import CountingLock
 
@@ -40,6 +41,25 @@ def test_range_and_multisearch_and_ith():
         l.range_query(9, 2)
     with pytest.raises(ValueError):
         l.ith(0)
+
+
+@pytest.mark.parametrize("make, lookup", [(HarrisList, "contains"),
+                                          (LeafBst, "find")],
+                         ids=["list", "bst"])
+def test_bound_keys_rejected(make, lookup):
+    """No operation takes a sentinel's key: a delete of the list's POS_INF
+    would unlink its tail, and an insert of NEG_INF would show as a key."""
+    s = make()
+    for k in (1, 5, 9):
+        s.insert(k)
+    for bound in (NEG_INF, POS_INF, INF1, INF2):
+        for op in (s.insert, s.delete, getattr(s, lookup)):
+            with pytest.raises(ValueError):
+                op(bound)
+    assert s.range_query(0, 10) == [1, 5, 9]
+    assert s.ith(1) == 1 and s.ith(4) is None
+    assert s.insert(3) and s.delete(9) and getattr(s, lookup)(5)
+    assert s.range_query(0, 10) == [1, 3, 5]
 
 
 def _node_with_key(l, key):

@@ -5,7 +5,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from chronocas import Camera, vcas
+from chronocas import Camera, HarrisList, LeafBst, MsQueue, vcas
 from versions import head
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -40,3 +40,13 @@ def test_benchmark_oracle_surface():
     # bst-rq compares a range_query list with ``!=`` against ``keys``
     assert isinstance(ordered.keys, list)
     assert ordered.keys == [3]
+
+
+def test_benchmark_structure_methods_resolve():
+    """The methods ``workloads.bind`` and ``micro.per_call_table`` call by
+    name, wherever the class gets them (``range_query`` is inherited)."""
+    for owner, names in ((LeafBst, "insert delete find range_query"),
+                         (HarrisList, "contains insert delete range_query"),
+                         (MsQueue, "enqueue dequeue scan")):
+        for name in names.split():
+            assert callable(getattr(owner, name, None)), (owner, name)
