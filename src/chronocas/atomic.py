@@ -1,13 +1,22 @@
 """Atomic cells.
 
 CPython has no user-level compare-and-swap, so a cell is a slot guarded by a
-lock; the lock is held only for the duration of the single access, never
-across another shared access, so the gate in :mod:`chronocas._gate` can
-suspend a thread between accesses without deadlock.  A versioned pointer
+lock drawn from one shared table: :data:`_STRIPES`, a fixed tuple of 256
+locks handed out round-robin as cells are built (lock striping).  A table
+lock is held only for the duration of the single access, never across
+another shared access, so the gate in :mod:`chronocas._gate` can suspend a
+thread between accesses without deadlock.  A versioned pointer
 (:class:`chronocas.vcas.VersionedPointer`) keeps its head the same way in its
-own slots; :class:`AtomicCell` serves the unversioned words: the BST update
-words, the camera's counter, the queue's write-once next links and
-:class:`PlainCell`.
+own slots, with a lock from the same table; :class:`AtomicCell` serves the
+unversioned words: the BST update words, the camera's counter, the queue's
+write-once next links and :class:`PlainCell`.
+
+Cells share stripes, so a critical section under a table lock obeys two
+rules.  It takes no other table lock: the second lock may be its own stripe,
+and a ``threading.Lock`` deadlocks against itself.  It takes no gated step
+either: a worker suspended while holding a stripe would wedge every cell on
+that stripe, not only its own.  A lock outside the table, such as
+``_install_lock``, may be taken inside one.
 
 Equality for ``cas`` is ``==``, which degrades to identity for the node and
 record objects stored by the data structures (none of them define
@@ -16,9 +25,15 @@ record objects stored by the data structures (none of them define
 
 from __future__ import annotations
 
+import itertools
 import threading
 
 from . import _gate
+
+# The lock table.  A cell takes ``_next_stripe()`` once, at construction:
+# the table's locks in turn.  The size is fixed, not an option.
+_STRIPES = tuple(threading.Lock() for _ in range(256))
+_next_stripe = itertools.cycle(_STRIPES).__next__
 
 # One lock for all write-once node fields (version timestamps and version
 # links).  These fields transition at most once, so a single shared lock sees
@@ -33,7 +48,7 @@ class AtomicCell:
 
     def __init__(self, value) -> None:
         self._value = value
-        self._lock = threading.Lock()
+        self._lock = _next_stripe()
 
     def read(self):
         if _gate.armed:

@@ -21,13 +21,17 @@ instead: the record is stamped with a trap pattern (its link included) and
 any later algorithm read of it raises :class:`PoisonedReadError`.  The
 stress suites assert that the trap never fires.
 
-Freeing is safe by the epoch argument below.  A record retired in epoch
-``e`` is freed only once every pinned thread announced at least ``e + 2``,
-so each pinned after the thread that displaced or unlinked the record (and
-retired it under that pin) unpinned, by which time its successor's
-timestamp was installed.  Every pinned handle is at or above that stamp, so
-a pinned walk stops at the successor at the latest and never returns a
-freed record; one that meets it anyway (a handle used without its pin) raises.
+Freeing is safe by the epoch argument below.  A displaced version is
+retired only after its successor is stamped, pinned or not:
+``VersionedCas.cas`` retires the head it displaced once ``_swap`` has
+stamped the successor, and a structure retires a node it unlinked after the
+swing that unlinked it returns.  A record retired in epoch ``e`` is freed
+only once every pinned thread announced at least ``e + 2``, so every thread
+pinned at the retire has unpinned by then, and every thread pinned since
+took its handle after the successor's stamp.  Every pinned handle is at or
+above that stamp, so a pinned walk stops at the successor at the latest and
+never returns a freed record; one that meets it anyway (a handle used
+without its pin) raises.
 
 Queries must pin for their whole snapshot lifetime, and a thread holds at
 most one snapshot handle at a time; every data-structure query runs inside

@@ -11,8 +11,10 @@ resolves any handle by walking to the first record stamped at or below it.
 check as a method, for the publish tail and racing helpers.
 :class:`VersionedPointer` holds that protocol once, and is itself the
 atomic word: the head record and the lock that guards its swap are slots of
-the pointer, as in the paper's vCAS object.  :class:`VersionedCas` wraps
-each value in a :class:`VNode`, and
+the pointer, as in the paper's vCAS object.  The lock comes from
+:mod:`chronocas.atomic`'s shared table and obeys its rules: the swap's
+critical section takes no other table lock and no gated step.
+:class:`VersionedCas` wraps each value in a :class:`VNode`, and
 :class:`~chronocas.vcas_direct.DirectVersionedCas` threads the list through
 the user's nodes.  ``read`` and ``cas`` touch a constant number of shared
 locations; a snapshot read walks one link per newer version.  A cell whose
@@ -33,10 +35,8 @@ published head never has it; a pinned walk never meets one, see
 
 from __future__ import annotations
 
-import threading
-
 from . import _gate, instrument, reclaim
-from .atomic import field_cas
+from .atomic import _next_stripe, field_cas
 from .camera import INVALID_NEXTV, TBD, Camera
 
 # Test-only fault injection:  "no_read_help" drops the helping step from
@@ -96,27 +96,26 @@ class VNode(VersionRecord):
 
 class VersionedPointer:
     """One versioned pointer: the head of a version list, held in its own
-    lock-guarded slot, plus the camera it is synchronized with.
+    slot and guarded by a lock from the shared table, plus the camera it is
+    synchronized with.
 
     The head is read without the lock (one slot read after the gated step)
-    and swung only under it.  A successful swap runs the subclass's
-    ``_appended(old, new)``, then appends to the instrumented log, both
-    inside the critical section, before the new head becomes visible.
-    ``_appended`` must take no gated step; if it raises, nothing is logged
-    and the head is not swung.
+    and swung only under it.  A successful swap runs ``_appended(old, new)``
+    (a no-op unless a subclass refuses the swap there), then appends to the
+    instrumented log, both inside the critical section, before the new head
+    becomes visible.  ``_appended`` must take no gated step and no table
+    lock; if it raises, nothing is logged and the head is not swung.
     """
 
-    __slots__ = ("_head", "_lock", "_camera", "_floor_ts", "_log",
-                 "succ_cas_count")
+    __slots__ = ("_head", "_lock", "_camera", "_floor_ts", "_log")
 
     def __init__(self, first, camera: Camera) -> None:
         # The subclass stamps ``first`` and sets the floor: its timestamp, or
         # -1 for an empty direct cell (``first`` None).
         self._camera = camera
         self._head = first
-        self._lock = threading.Lock()
+        self._lock = _next_stripe()
         self._log = instrument.VersionLog(first) if instrument.ENABLED else None
-        self.succ_cas_count = 0   # counted only while ``_log`` is kept
 
     def init_ts(self, node) -> None:
         """Install a current timestamp into ``node`` unless one is there.
@@ -138,7 +137,6 @@ class VersionedPointer:
                 self._appended(head, new)
                 if self._log is not None:
                     self._log.append(new)
-                    self.succ_cas_count += 1
                 self._head = new
         if won:
             self.init_ts(new)
@@ -149,6 +147,9 @@ class VersionedPointer:
         if cur is not None:
             self.init_ts(cur)
         return False
+
+    def _appended(self, old, new) -> None:
+        pass
 
     def _walk(self, handle: int):
         """The record (or None) this cell held at ``handle``, never a freed
@@ -220,12 +221,14 @@ class VersionedCas(VersionedPointer):
             return False
         if new_val == old_val:
             return True
-        # A losing record was never visible; plain disposal.
-        return self._swap(head, VNode(new_val, head))
-
-    def _appended(self, old: VNode, new: VNode) -> None:
+        # A losing record was never visible; plain disposal.  The winner
+        # retires the displaced head only after ``_swap`` has stamped its
+        # successor, outside the critical section (see chronocas.reclaim).
+        if not self._swap(head, VNode(new_val, head)):
+            return False
         if self._reclaim is not None:
-            self._reclaim.retire(old)
+            self._reclaim.retire(head)
+        return True
 
     def read_snapshot(self, handle: int):
         """The value this cell held at ``handle``.  A head stamped at or

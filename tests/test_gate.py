@@ -1,8 +1,13 @@
-"""The gate's armed flag follows the hooks installed through its entry points."""
+"""The gate's armed flag follows the hooks installed through its entry
+points, and no gated step runs under a lock of the cell lock table."""
+
+import random
 
 import pytest
 
-from chronocas import Camera, VersionedCas, _gate
+from chronocas import (Camera, HarrisList, LeafBst, MsQueue, VersionedCas,
+                       _gate)
+from chronocas.atomic import _STRIPES
 from chronocas.lincheck import Recorder, explore
 
 
@@ -67,3 +72,66 @@ def test_hooks_keep_each_other_armed():
         _gate.remove_controller()
     assert _gate.armed is False
 
+
+class _NoStripeHeld(_NullController):
+    """Also counts steps taken under a table lock; single-threaded, so any
+    locked table lock at a step is held by the stepping thread."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.held = 0
+
+    def on_access(self, thread) -> None:
+        super().on_access(thread)
+        self.held += any(lock.locked() for lock in _STRIPES)
+
+
+def _ordered_ops(s, rng):
+    for _ in range(300):
+        k = rng.randrange(60)
+        (s.insert if rng.random() < 0.6 else s.delete)(k)
+        (s.find if isinstance(s, LeafBst) else s.contains)(k)
+    s.range_query(10, 40)
+    s.range_sum(10, 40)
+    s.succ(20, 3)
+    s.find_if(0, 60, lambda k: k % 7 == 0)
+    s.ith(5)
+    s.multisearch([3, 30, 59])
+    if isinstance(s, LeafBst):
+        s.height()
+
+
+def _queue_ops(q, rng):
+    for i in range(300):
+        if rng.random() < 0.55:
+            q.enqueue(i)
+        else:
+            q.dequeue()
+    q.scan()
+    q.ith(3)
+    q.peek_endpoints()
+
+
+STRUCTURES = {
+    "list": (HarrisList, _ordered_ops),
+    "bst-indirect": (lambda: LeafBst(mode="indirect"), _ordered_ops),
+    "bst-direct": (lambda: LeafBst(mode="direct"), _ordered_ops),
+    "bst-plain": (lambda: LeafBst(mode="plain"), _ordered_ops),
+    "queue": (MsQueue, _queue_ops),
+}
+
+
+@pytest.mark.parametrize("name", list(STRUCTURES))
+def test_no_gated_step_under_a_table_lock(name):
+    """A worker suspended at a step while holding a stripe would wedge every
+    cell on that stripe, so no critical section may take a gated step."""
+    make, ops = STRUCTURES[name]
+    structure = make()
+    ctl = _NoStripeHeld()
+    _gate.install_controller(ctl)
+    try:
+        ops(structure, random.Random(5))
+    finally:
+        _gate.remove_controller()
+    assert ctl.accesses > 1000
+    assert ctl.held == 0

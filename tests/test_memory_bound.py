@@ -15,12 +15,12 @@ import tracemalloc
 
 import pytest
 
-from chronocas import (INVALID_NEXTV, TBD, HarrisList, LeafBst, MsQueue,
-                       instrument)
+from chronocas import (INVALID_NEXTV, TBD, AtomicCell, HarrisList, LeafBst,
+                       MsQueue, instrument)
 from chronocas.bst import BstInternal, BstLeaf
 from chronocas.harris_list import ListNode
 from chronocas.msqueue import QueueNode
-from chronocas.vcas import VersionRecord, VNode
+from chronocas.vcas import VersionedPointer, VersionRecord, VNode
 from chronocas.vcas_direct import Versionable
 
 SHORT, LONG = 5_000, 20_000
@@ -183,3 +183,40 @@ def test_freed_records_keep_nothing_alive(case):
             reached[type(obj)] += 1
     assert not holders, f"{len(holders)} freed records hold something"
     assert reached == live
+
+
+# Traced bytes per key after 10k random inserts, key list included; set
+# between a lock per cell word (about 987 / 850 / 715) and one shared lock
+# table (about 707 / 570 / 451).
+BYTES_PER_KEY = {"indirect": 850, "direct": 710, "plain": 580}
+
+
+@pytest.mark.parametrize("mode", list(BYTES_PER_KEY))
+def test_bytes_per_key_bounded(mode):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rng = random.Random(1)
+        keys = [rng.randrange(1 << 30) for _ in range(10_000)]
+        tree = LeafBst(mode=mode)
+        for k in keys:
+            tree.insert(k)
+        gc.collect()
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert size / len(keys) < BYTES_PER_KEY[mode], size / len(keys)
+
+
+@pytest.mark.parametrize("mode", ["indirect", "direct", "plain"])
+def test_cells_share_one_lock_table(mode):
+    """Every cell word takes its lock from one fixed table, so a 2,000-key
+    tree (about 6,000 cell words) references at most 256 locks."""
+    rng = random.Random(2)
+    tree = LeafBst(mode=mode)
+    for k in rng.sample(range(100_000), 2_000):
+        tree.insert(k)
+    cells = [obj for obj in _objects(tree)
+             if isinstance(obj, (AtomicCell, VersionedPointer))]
+    assert len(cells) > 6_000
+    assert len({id(cell._lock) for cell in cells}) <= 256

@@ -5,7 +5,8 @@ import threading
 import pytest
 
 from chronocas import (INVALID_NEXTV, Camera, DirectVersionedCas, EpochManager,
-                       PoisonedReadError, ReclaimError, Versionable, instrument)
+                       PoisonedReadError, ReclaimError, Versionable, _gate,
+                       instrument)
 from chronocas import reclaim as reclaim_mod
 from chronocas.vcas import SnapshotPreconditionError, VersionedCas
 from versions import head, version_chain
@@ -304,7 +305,7 @@ def test_trimmed_log_keeps_the_exact_bound():
     _free_everything(mgr)
     for i in range(200, 300):
         assert cell.cas(i, i + 1)
-    assert len(cell._log) == cell.succ_cas_count + 1 == 301
+    assert len(cell._log) == 301
     assert cell._log.view()[1] <= 101     # every freed version dropped
     with mgr.pinned():
         h = mgr.snapshot(cam)
@@ -319,6 +320,48 @@ def test_trimmed_log_keeps_the_exact_bound():
         instrument.note_walk(view, h, 4)      # one hop too many: caught
         assert instrument.violation_count() == 1
         mgr.release_snapshot(h)
+
+
+class _PauseAt:
+    """Gate controller that suspends ``thread`` at its ``n``-th gated step
+    until ``resume`` is set; every other thread passes."""
+
+    def __init__(self, thread, n):
+        self.thread, self.n, self.steps = thread, n, 0
+        self.paused, self.resume = threading.Event(), threading.Event()
+
+    def on_access(self, thread):
+        if thread is self.thread:
+            self.steps += 1
+            if self.steps == self.n:
+                self.paused.set()
+                self.resume.wait(10)
+
+
+def test_unpinned_writer_retires_after_stamping_the_successor():
+    """An unpinned writer paused just before it stamps its new head has not
+    retired the head it displaced: three epoch advances free nothing, and a
+    reader that then pins, takes a handle and stamps the successor above it
+    walks to the displaced value."""
+    cam, mgr = Camera(), EpochManager(advance_every=0)
+    cell = VersionedCas(0, cam, mgr)
+    won = []
+    writer = threading.Thread(target=lambda: won.append(cell.cas(0, 1)))
+    ctl = _PauseAt(writer, 4)         # the winner's init_ts
+    _gate.install_controller(ctl)
+    try:
+        writer.start()
+        assert ctl.paused.wait(10)
+        for _ in range(3):
+            assert mgr.try_advance_epoch()
+        with mgr.query(cam) as h:
+            assert cell.read_snapshot(h) == 0
+    finally:
+        ctl.resume.set()
+        writer.join(10)
+        _gate.remove_controller()
+    assert won == [True] and cell.read() == 1
+    assert mgr.retired_total == 1
 
 
 def test_pinned_walks_never_reach_cut_links():
