@@ -9,22 +9,27 @@ cells, and the helping checks on write-once fields) is marked by
   step, serializing shared accesses in a chosen order;
 * a step counter, used by structural tests that assert constant step bounds.
 
-Call sites test the module flag :data:`armed` and call :func:`step` only
-when it is set, so production code pays one global attribute test per
-access::
+The module flag :data:`armed` picks the fast or the checked path;
+production code pays one global attribute test per access::
 
     if _gate.armed:
         _gate.step()
 
-The contract: :data:`armed` is True exactly while a hook is live, and it is
-written only by the three entry points that install hooks,
-:func:`install_controller`/:func:`remove_controller` and
-:class:`StepCounter` (on enter and exit).  Removing one hook leaves the flag
-set while the other is still live.  Install hooks only through these entry
-points; assigning ``_controller`` or ``_counter`` directly leaves the flag
-stale and the hook blind.  Hooks are installed only between operations, so
-an operation may read :data:`armed` once and keep it (the ``LeafBst``
-descents do).
+Armed, an operation also calls every cell method the fast paths inline,
+walks on every snapshot read (hop histogram, trap check) and trap-checks
+each node its walks visit; so instrumentation and poisoning arm it too, and
+the fast paths read no other switch.
+
+The contract: :data:`armed` is True exactly while a hook or a checking mode
+is live.  It is written only by :func:`install_controller`/
+:func:`remove_controller`, :class:`StepCounter` (on enter and exit) and
+:func:`_set_check`, which ``instrument.enable`` and
+``reclaim.enable_poisoning`` call (the latter also at import under
+``CHRONOCAS_DEBUG_POISON=1``).  Turning one off leaves the flag set while
+another is still live.  Assigning ``_controller`` or ``_counter`` directly
+leaves the flag stale and the hook blind.  Hooks and modes change only
+between operations, so an operation may read :data:`armed` once and keep it
+(the walks and the ``LeafBst`` descents do).
 
 Immutable fields (a version node's value and older-version link, node keys)
 are read without gating: once published they never change, so their reads
@@ -35,9 +40,10 @@ from __future__ import annotations
 
 import threading
 
-armed = False       # True while a controller or a counter is installed
+armed = False       # True while a hook is installed or a check is on
 _controller = None  # set by lincheck.explore for the duration of one run
 _counter = None     # set by tests that count shared accesses single-threaded
+_checks: set = set()  # the checking modes that are on, by name
 
 
 def step() -> None:
@@ -52,7 +58,13 @@ def step() -> None:
 
 def _rearm() -> None:
     global armed
-    armed = _controller is not None or _counter is not None
+    armed = _controller is not None or _counter is not None or bool(_checks)
+
+
+def _set_check(name: str, on: bool) -> None:
+    """Turn the checking mode ``name`` (instrument, poison) on or off."""
+    (_checks.add if on else _checks.discard)(name)
+    _rearm()
 
 
 class StepCounter:

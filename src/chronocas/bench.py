@@ -5,14 +5,14 @@ seeded PRNG streams, and reports throughput per operation kind and the
 reclamation high-water mark.  With ``instrument`` set (``--instrument``) it
 also builds the structure instrumented and reports the snapshot-read hop
 histogram and the step-bound violation count (which must be zero); those
-checks cost time, so the throughput of such a run is not comparable with an
-uninstrumented one.  ``stress`` interleaves
+checks take the checked path on every access, so the throughput of such a
+run is not comparable with an uninstrumented one.  ``stress`` interleaves
 short recorded windows with quiescent checkpoints and feeds every window to
 the linearizability checker.
 
 Output is a single versioned JSON document on stdout; ``--csv`` emits one
 flat row instead.  Setting CHRONOCAS_DEBUG_POISON=1 arms reclamation
-poisoning for the whole process.
+poisoning for the whole process (the checked path too).
 
 Throughput numbers are machine-dependent; nothing here asserts them beyond
 being positive.
@@ -60,7 +60,6 @@ class WorkloadConfig:
     seconds: float = 2.0
     seed: int = 42
     sorted_insert: bool = False
-    warmup: float = 0.0
     instrument: bool = False
 
     def validate(self) -> None:
@@ -274,11 +273,6 @@ def _timed_mix(structure, config: WorkloadConfig):
     for t in threads:
         t.start()
     start_gate.wait()
-    if config.warmup:
-        time.sleep(config.warmup)
-        for c in counts:
-            for k in c:
-                c[k] = 0
     t0 = time.perf_counter()
     time.sleep(config.seconds)
     stop.set()
@@ -451,7 +445,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--seconds", type=float, default=2.0)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--sorted", dest="sorted_insert", action="store_true")
-    p.add_argument("--warmup", type=float, default=0.0)
     p.add_argument("--instrument", action="store_true",
                    help="check every snapshot read's step bound and report "
                         "the hop histogram and violation count (slower)")
@@ -469,8 +462,7 @@ def main(argv=None) -> int:
         structure=args.structure, prefill=args.prefill, ins=args.ins,
         delete=args.delete, find=args.find, rq=args.rq, rqsize=args.rqsize,
         threads=args.threads, seconds=args.seconds, seed=args.seed,
-        sorted_insert=args.sorted_insert, warmup=args.warmup,
-        instrument=args.instrument)
+        sorted_insert=args.sorted_insert, instrument=args.instrument)
     try:
         config.validate()
         if args.stress:

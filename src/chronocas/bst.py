@@ -25,7 +25,7 @@ depth two or more, so a deletable leaf always has a grandparent.
 
 from __future__ import annotations
 
-from . import _gate, instrument, reclaim
+from . import _gate, reclaim
 from .atomic import AtomicCell, PlainCell
 from .camera import TBD, Camera
 from .ordered import Bound, OrderedQueries
@@ -141,21 +141,16 @@ class LeafBst(OrderedQueries):
     # cell's step inline: a stamped head is the value ``VersionedCas.read``
     # returns (and ``read_snapshot`` at a handle at or above the stamp), so
     # its value is used without the call.  Any other case calls the method,
-    # which helps a TBD head, walks, and takes the gated steps; at a handle
-    # the hop histogram (instrument) and the head's trap check (poison) need
-    # the method too.  Each operation reads ``_gate.armed`` once: hooks are
-    # installed only between operations.
+    # which helps a TBD head and walks; an armed gate (a hook, instrumentation
+    # or poisoning) calls it for every cell.  Each operation reads
+    # ``_gate.armed`` once: hooks and modes change only between operations.
 
     def _descend(self, key, h=None):
         """The last three nodes on ``key``'s path, ``(gp, p, l)``, found by
         child cells alone, read now or, given a handle ``h``, at ``h``;
         ``gp`` is None when ``p`` is the root."""
         inline = self._inline and not _gate.armed
-        if h is None:
-            newest = TBD - 1
-        else:
-            newest = h
-            inline = inline and not reclaim.POISON_ON and not instrument.ENABLED
+        newest = TBD - 1 if h is None else h
         gp = p = None
         node = self._root
         while isinstance(node, BstInternal):
@@ -325,12 +320,10 @@ class LeafBst(OrderedQueries):
         """The user keys in [lo, hi] at handle ``h``, in order, read as the
         consumer asks for them; subtrees outside the interval are pruned."""
         node, stack = self._root, []
-        poison = reclaim.POISON_ON
-        # the inline step of _descend at a handle
-        inline = (self._inline and not _gate.armed and not poison
-                  and not instrument.ENABLED)
+        armed = _gate.armed
+        inline = self._inline and not armed   # _descend's inline step
         while True:
-            if poison:
+            if armed:
                 reclaim.check_live(node)
             if isinstance(node, BstLeaf):
                 key = node.key
@@ -360,8 +353,9 @@ class LeafBst(OrderedQueries):
         with self.epoch.query(self.camera) as h:
             deepest = 0
             node, d, stack = self._root, 0, []
+            armed = _gate.armed
             while True:
-                if reclaim.POISON_ON:
+                if armed:
                     reclaim.check_live(node)
                 if isinstance(node, BstLeaf):
                     if d > deepest and not isinstance(node.key, Bound):

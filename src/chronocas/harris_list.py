@@ -13,9 +13,7 @@ marked or removed, and no operation takes their keys.
 
 from __future__ import annotations
 
-import threading
-
-from . import instrument, reclaim
+from . import _gate, reclaim
 from .camera import Camera
 from .ordered import NEG_INF, POS_INF, OrderedQueries
 from .reclaim import EpochManager
@@ -44,19 +42,18 @@ class HarrisList(OrderedQueries):
         self.tail.next = VersionedCas((None, False), self.camera, self.epoch)
         self.head = ListNode(NEG_INF)
         self.head.next = VersionedCas((self.tail, False), self.camera, self.epoch)
-        self._count_lock = threading.Lock()
-        self._updates = 0
 
     # -- internal search with physical cleanup ----------------------------------
 
     def _find(self, key):
         """Returns (pred, curr): curr is the first unmarked node with
         key >= search key; unlinks marked runs it passes."""
+        armed = _gate.armed
         while True:
             pred = self.head
             curr = pred.next.read()[0]
             while True:
-                if reclaim.POISON_ON:
+                if armed:
                     reclaim.check_live(curr)
                 succ, cmark = curr.next.read()
                 if cmark:
@@ -68,12 +65,6 @@ class HarrisList(OrderedQueries):
                     if curr.key >= key:
                         return pred, curr
                     pred, curr = curr, succ
-
-    def _bump(self) -> None:
-        """Count one update for the instrumented skip bound in
-        :meth:`get_next`, its only reader; called only while instrumented."""
-        with self._count_lock:
-            self._updates += 1
 
     # -- updates -----------------------------------------------------------------
 
@@ -87,8 +78,6 @@ class HarrisList(OrderedQueries):
                 node = ListNode(key)
                 node.next = VersionedCas((curr, False), self.camera, self.epoch)
                 if pred.next.cas((curr, False), (node, False)):
-                    if instrument.ENABLED:
-                        self._bump()
                     return True
 
     def delete(self, key) -> bool:
@@ -102,8 +91,6 @@ class HarrisList(OrderedQueries):
                 if marked:
                     continue
                 if curr.next.cas((succ, False), (succ, True)):
-                    if instrument.ENABLED:
-                        self._bump()
                     if pred.next.cas((curr, False), (succ, False)):
                         self.epoch.retire(curr)
                     else:
@@ -114,8 +101,9 @@ class HarrisList(OrderedQueries):
         self._check_key(key)
         with self.epoch.maybe_pinned():
             curr = self.head.next.read()[0]
+            armed = _gate.armed
             while curr.key < key:
-                if reclaim.POISON_ON:
+                if armed:
                     reclaim.check_live(curr)
                 curr = curr.next.read()[0]
             if curr.key != key:
@@ -128,24 +116,15 @@ class HarrisList(OrderedQueries):
         """First successor of ``node`` at the cut whose own next is unmarked;
         skips logically deleted nodes.  Returns None past the high sentinel."""
         n = node.next.read_snapshot(handle)[0]
-        skips = 0
+        armed = _gate.armed
         while n is not None:
-            if reclaim.POISON_ON:
+            if armed:
                 reclaim.check_live(n)
             link, marked = n.next.read_snapshot(handle)
             if not marked:
                 break
             n = link
-            skips += 1
-        if instrument.ENABLED and skips:
-            bound = threading.active_count() + 2 * self._update_count() + 2
-            if skips > bound:
-                instrument.violation(f"list query skipped {skips} marked nodes")
         return n
-
-    def _update_count(self) -> int:
-        with self._count_lock:
-            return self._updates
 
     def _keys(self, h, lo, hi):
         """The keys in [lo, hi] at handle ``h``, in order, read as the

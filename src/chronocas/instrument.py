@@ -6,7 +6,8 @@ each ``read_snapshot`` can be checked against its traversal bound: the hop
 count must not exceed the number of versions already published when the head
 was read whose timestamp exceeds the handle.  Bound breaches are counted,
 never raised, so a benchmark run can report them; the suites assert the
-count stays at zero.
+count stays at zero.  Enabling instrumentation arms the gate, so every
+operation takes the checked path and every snapshot read walks.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import bisect
 import threading
 
+from . import _gate
 from .camera import INVALID_NEXTV, TBD
 
 ENABLED = False
@@ -27,6 +29,7 @@ _hop_sinks: list[dict] = []
 def enable(on: bool = True) -> None:
     global ENABLED
     ENABLED = on
+    _gate._set_check("instrument", on)
 
 
 def reset() -> None:

@@ -13,7 +13,7 @@ Keys must not be None; None is the empty indication.
 
 from __future__ import annotations
 
-from . import reclaim
+from . import _gate, reclaim
 from .atomic import AtomicCell
 from .camera import Camera
 from .reclaim import EpochManager
@@ -99,8 +99,9 @@ class MsQueue:
         out = []
         node = self._head.read_snapshot(h)
         last = self._tail.read_snapshot(h)
+        armed = _gate.armed
         while node is not last:
-            if reclaim.POISON_ON:
+            if armed:
                 reclaim.check_live(node)
             node = node.next.read()
             out.append(node.key)

@@ -16,10 +16,11 @@ what it carries: a ``VNode`` its value, a BST internal node its child cells
 and update word.  Each cell's version list then holds at most its head, its
 displaced records not yet freed and one freed record that ends it and holds
 nothing, so nothing else stays reachable through it.  A BST info record
-drops its node references.  With poisoning armed, ``_poison`` runs
-instead: the record is stamped with a trap pattern (its link included) and
-any later algorithm read of it raises :class:`PoisonedReadError`.  The
-stress suites assert that the trap never fires.
+drops its node references.  With poisoning on, ``_poison`` runs instead:
+the record is stamped with a trap pattern (its link included) and any later
+algorithm read of it raises :class:`PoisonedReadError`.  The stress suites
+assert that the trap never fires.  Poisoning arms the gate, so every
+operation takes the checked path and each walk runs :func:`check_live`.
 
 Freeing is safe by the epoch argument below.  A displaced version is
 retired only after its successor is stamped, pinned or not:
@@ -65,7 +66,9 @@ import os
 import threading
 from contextlib import contextmanager, nullcontext
 
-POISON_ON = os.environ.get("CHRONOCAS_DEBUG_POISON") == "1"
+from . import _gate
+
+POISON_ON = False
 
 _TRAP = object()
 
@@ -81,10 +84,14 @@ class ReclaimError(RuntimeError):
 def enable_poisoning(on: bool = True) -> None:
     global POISON_ON
     POISON_ON = on
+    _gate._set_check("poison", on)
+
+
+enable_poisoning(os.environ.get("CHRONOCAS_DEBUG_POISON") == "1")
 
 
 def check_live(record) -> None:
-    """Trap check on the algorithm read path; no-op unless poisoning is on."""
+    """Trap check on the armed read path; only a poisoned record fails it."""
     if record._poisoned:
         raise PoisonedReadError(f"read of freed record {type(record).__name__}")
 

@@ -19,7 +19,7 @@ critical section takes no other table lock and no gated step.
 the user's nodes.  ``read`` and ``cas`` touch a constant number of shared
 locations; a snapshot read walks one link per newer version.  A cell whose
 head is stamped at or below the handle returns the head's value without
-walking, unless the gate is armed or poisoning is on.
+walking, unless the gate is armed (see :mod:`chronocas._gate`).
 
 :class:`~chronocas.bst.LeafBst` inlines two branches of
 :class:`VersionedCas` in its indirect descents: ``read``'s stamped-head
@@ -169,9 +169,8 @@ class VersionedPointer:
                 field_cas(node, "ts", TBD, self._camera.peek_timestamp())
         view = self._log.view() if self._log is not None else None
         hops = 0
-        poison = reclaim.POISON_ON
         while node is not None:
-            if poison:
+            if armed:
                 reclaim.check_live(node)
             if node.nextv is INVALID_NEXTV:
                 raise SnapshotPreconditionError(
@@ -233,12 +232,10 @@ class VersionedCas(VersionedPointer):
     def read_snapshot(self, handle: int):
         """The value this cell held at ``handle``.  A head stamped at or
         below the handle is that value, returned without a walk (0 hops; the
-        floor check holds, as handle >= head.ts >= floor).  A TBD head, an
-        armed gate (its steps) or poisoning (the head's trap check) walk.
-        LeafBst._keys inlines the no-walk case."""
+        floor check holds, as handle >= head.ts >= floor) unless the gate is
+        armed; a TBD head walks too.  LeafBst._keys inlines the no-walk
+        case."""
         head = self._head
-        if head.ts <= handle and not _gate.armed and not reclaim.POISON_ON:
-            if instrument.ENABLED:
-                instrument.note_hops(0)
+        if head.ts <= handle and not _gate.armed:
             return head.val
         return self._walk(handle).val

@@ -16,7 +16,7 @@ comparison is identity.
 
 from __future__ import annotations
 
-from . import _gate, instrument, reclaim
+from . import _gate
 from .atomic import _install_lock, field_cas
 from .camera import INVALID_NEXTV, TBD, Camera
 from .vcas import VersionedPointer, VersionRecord
@@ -105,11 +105,8 @@ class DirectVersionedCas(VersionedPointer):
         """The node this cell held at ``handle`` (the value is the record
         itself).  As in :meth:`VersionedCas.read_snapshot`, a head stamped
         at or below the handle is returned without a walk unless the gate
-        is armed or poisoning is on; an empty cell walks."""
+        is armed; an empty cell walks."""
         head = self._head
-        if (head is not None and head.ts <= handle and not _gate.armed
-                and not reclaim.POISON_ON):
-            if instrument.ENABLED:
-                instrument.note_hops(0)
+        if head is not None and head.ts <= handle and not _gate.armed:
             return head
         return self._walk(handle)

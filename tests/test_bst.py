@@ -1,4 +1,5 @@
 import random
+from contextlib import contextmanager
 
 import pytest
 
@@ -306,32 +307,57 @@ def test_search_restarts_when_the_leaf_moved_after_the_descent():
     assert t.range_query(0, 100) == ref.step(("range", 0, 100))
 
 
-def test_unarmed_descents_follow_stamped_heads_without_a_call(monkeypatch):
+@contextmanager
+def _switched_on(switch):
+    switch(True)
+    try:
+        yield
+    finally:
+        switch(False)
+
+
+ARMED_BY = {
+    "instrument": lambda: _switched_on(instrument.enable),
+    "poison": lambda: _switched_on(reclaim.enable_poisoning),
+    "counter": StepCounter,
+}
+
+
+@pytest.mark.parametrize("mode", list(ARMED_BY))
+def test_unarmed_descents_follow_stamped_heads_without_a_call(monkeypatch, mode):
     """On a stamped indirect tree with the gate unarmed, find and the
-    ordered walk follow every child cell inline.  With instrumentation on,
-    the walk calls read_snapshot for every cell, so each read is in the hop
-    histogram: 2N cells for N keys (N internals and N + 1 leaves below the
-    root, less the pruned top sentinel leaf)."""
+    ordered walk follow every child cell inline.  Once instrumentation,
+    poisoning or a step counter arms the gate, they call the cell method for
+    every cell: find reads each cell on its path, and the walk calls
+    read_snapshot 2N times for N keys (N internals and N + 1 leaves below
+    the root, less the pruned top sentinel leaf).  Instrumented, each of
+    those reads is in the hop histogram."""
     rng = random.Random(4)
     t = LeafBst()
     keys = sorted(rng.sample(range(1000), 300))
     for k in keys:
         t.insert(k)
+    probes = keys[::7] + [1000]
+    found = [True] * len(keys[::7]) + [False]
+    path_reads = sum(len(_path_cells(t, k)) for k in probes)
     calls = []
     for name in ("read", "read_snapshot"):
         def counted(cell, *args, _name=name, _method=getattr(VersionedCas, name)):
             calls.append(_name)
             return _method(cell, *args)
         monkeypatch.setattr(VersionedCas, name, counted)
-    assert [t.find(k) for k in keys[::7]] == [True] * len(keys[::7])
-    assert not t.find(1000)
+    assert [t.find(k) for k in probes] == found
     assert t.range_query(0, 999) == keys
     assert calls == []
-    instrument.enable(True)
-    instrument.reset()
-    assert t.range_query(0, 999) == keys
-    assert calls == ["read_snapshot"] * (2 * len(keys))
-    assert sum(instrument.hop_histogram().values()) == 2 * len(keys)
+    with ARMED_BY[mode]():
+        instrument.reset()
+        assert [t.find(k) for k in probes] == found
+        assert calls == ["read"] * path_reads
+        calls.clear()
+        assert t.range_query(0, 999) == keys
+        assert calls == ["read_snapshot"] * (2 * len(keys))
+        if mode == "instrument":
+            assert sum(instrument.hop_histogram().values()) == 2 * len(keys)
 
 
 def test_recorded_once_holds_across_workload():

@@ -1,14 +1,21 @@
 """The gate's armed flag follows the hooks installed through its entry
-points, and no gated step runs under a lock of the cell lock table."""
+points and the checking modes, and no gated step runs under a lock of the
+cell lock table."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from chronocas import (Camera, HarrisList, LeafBst, MsQueue, VersionedCas,
-                       _gate)
+                       _gate, instrument, reclaim)
 from chronocas.atomic import _STRIPES
 from chronocas.lincheck import Recorder, explore
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class _Boom(RuntimeError):
@@ -71,6 +78,54 @@ def test_hooks_keep_each_other_armed():
     finally:
         _gate.remove_controller()
     assert _gate.armed is False
+
+
+MODES = {"instrument": instrument.enable, "poison": reclaim.enable_poisoning}
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+def test_checking_modes_arm_the_gate(mode):
+    switch = MODES[mode]
+    assert _gate.armed is False
+    switch(True)
+    assert _gate.armed is True
+    switch(False)
+    assert _gate.armed is False
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+def test_a_mode_switched_off_disarms_only_when_nothing_else_is_live(mode):
+    switch = MODES[mode]
+    other = next(f for m, f in MODES.items() if m != mode)
+    other(True)
+    switch(True)
+    switch(False)
+    assert _gate.armed is True          # the other check is still live
+    other(False)
+    assert _gate.armed is False
+    with _gate.StepCounter():
+        switch(True)
+        switch(False)
+        assert _gate.armed is True      # the counter is still live
+    _gate.install_controller(_NullController())
+    try:
+        switch(True)
+        switch(False)
+        assert _gate.armed is True      # the controller is still live
+    finally:
+        _gate.remove_controller()
+    assert _gate.armed is False
+
+
+def test_poison_variable_arms_the_gate_at_import():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               CHRONOCAS_DEBUG_POISON="1")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import chronocas; print(chronocas._gate.armed is True)"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"]
 
 
 class _NoStripeHeld(_NullController):

@@ -4,11 +4,10 @@ import time
 
 import pytest
 
-from chronocas import NEG_INF, POS_INF, HarrisList, LeafBst, instrument
+from chronocas import NEG_INF, POS_INF, HarrisList, LeafBst
 from chronocas.bench import WorkloadConfig, stress
 from chronocas.bst import INF1, INF2
 from chronocas.oracle import SeqOrderedSet
-from test_reclaim import CountingLock
 
 
 def test_insert_and_contains():
@@ -68,19 +67,6 @@ def _node_with_key(l, key):
         node = node.next.read()[0]
     assert node.key == key
     return node
-
-
-@pytest.mark.parametrize("instrumented", [False, True])
-def test_update_counts_kept_only_when_instrumented(instrumented):
-    """The update counts feed only the instrumented skip bound, so an
-    uninstrumented insert or delete takes no lock for them."""
-    instrument.enable(instrumented)
-    l = HarrisList()
-    l._count_lock = counting = CountingLock()
-    assert l.insert(5) and l.delete(5)
-    assert counting.acquired == (2 if instrumented else 0)
-    if instrumented:
-        assert l._update_count() == 2
 
 
 def test_get_next_skips_marked_at_cut():
