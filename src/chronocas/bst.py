@@ -35,6 +35,9 @@ from .vcas_direct import DirectVersionedCas, Versionable
 
 CLEAN, IFLAG, DFLAG, MARK = 0, 1, 2, 3
 
+# The update word of every new internal node; words compare by value.
+_FRESH = (CLEAN, None)
+
 
 # Routing sentinels, above every user key and above POS_INF, the top of a
 # whole-set query's interval, so no walk a query asks for yields them.
@@ -74,39 +77,31 @@ class BstInternal(Versionable):
 
 
 class IInfo:
-    __slots__ = ("p", "l", "new_internal", "_poisoned")
+    __slots__ = ("p", "l", "new_internal")
 
     def __init__(self, p, l, new_internal) -> None:
         self.p = p
         self.l = l
         self.new_internal = new_internal
-        self._poisoned = False
 
     def _free(self) -> None:
         # Freed only after its flag was cleared: a CLEAN word that still
         # names it is never helped, so its fields are never read again.
         self.p = self.l = self.new_internal = None
 
-    def _poison(self) -> None:
-        self._poisoned = True
-
 
 class DInfo:
-    __slots__ = ("gp", "p", "l", "pupdate", "_poisoned")
+    __slots__ = ("gp", "p", "l", "pupdate")
 
     def __init__(self, gp, p, l, pupdate) -> None:
         self.gp = gp
         self.p = p
         self.l = l
         self.pupdate = pupdate
-        self._poisoned = False
 
     def _free(self) -> None:
         # As IInfo; a MARK naming it stays only on nodes already unlinked.
         self.gp = self.p = self.l = self.pupdate = None
-
-    def _poison(self) -> None:
-        self._poisoned = True
 
 
 class LeafBst(OrderedQueries):
@@ -133,7 +128,7 @@ class LeafBst(OrderedQueries):
 
     def _internal(self, key, left_node, right_node) -> BstInternal:
         return BstInternal(key, self._cell(left_node), self._cell(right_node),
-                           AtomicCell((CLEAN, None)))
+                           AtomicCell(_FRESH))
 
     # -- search ------------------------------------------------------------------
     #

@@ -97,17 +97,16 @@ class VersionLog:
     _MIN_TRIM = 8
 
     def __init__(self, first) -> None:
-        """``first`` is the cell's initial record, or None if it has none."""
-        self._state = (0, [] if first is None else [first])  # (base, entries)
+        """``first`` is the cell's initial record."""
+        self._state = (0, [first])  # (base, entries)
         self._trim_at = self._MIN_TRIM
 
     def append(self, new) -> None:
-        """Log ``new``, which just displaced the newest entry (if any)."""
+        """Log ``new``, which just displaced the newest entry."""
         base, entries = self._state
-        if entries:
-            ts = entries[-1].ts
-            if ts != TBD:
-                entries[-1] = ts
+        ts = entries[-1].ts
+        if ts != TBD:
+            entries[-1] = ts
         entries.append(new)
         if len(entries) >= self._trim_at:
             self._trim(base, entries, new)

@@ -236,14 +236,13 @@ def _held_lock() -> threading.Lock:
 
 
 class _Worker:
-    __slots__ = ("index", "thread", "go", "done", "error", "steps")
+    __slots__ = ("index", "thread", "go", "done", "error")
 
     def __init__(self, index: int, body, controller: "_Controller") -> None:
         self.index = index
         self.go = _held_lock()
         self.done = False
         self.error = None
-        self.steps = 0
         self.thread = threading.Thread(
             target=self._main, args=(body, controller), daemon=True)
 
@@ -272,7 +271,6 @@ class _Controller:
         w = self._by_thread.get(thread)
         if w is None:
             return
-        w.steps += 1
         self._ctl.release()
         w.go.acquire()
 

@@ -82,6 +82,9 @@ class MsQueue:
             if head is tail:
                 return (None, None)
             first = head.next.read()
+            if _gate.armed:
+                for node in (head, first, tail):
+                    reclaim.check_live(node)
             return (first.key, tail.key)
 
     def scan(self, at: int | None = None) -> list:
@@ -96,14 +99,17 @@ class MsQueue:
             return self._scan_at(h)
 
     def _scan_at(self, h: int) -> list:
+        # Each node is trap-checked once, as soon as it is reached.
         out = []
         node = self._head.read_snapshot(h)
         last = self._tail.read_snapshot(h)
         armed = _gate.armed
+        if armed:
+            reclaim.check_live(node)
         while node is not last:
+            node = node.next.read()
             if armed:
                 reclaim.check_live(node)
-            node = node.next.read()
             out.append(node.key)
         return out
 
@@ -114,8 +120,13 @@ class MsQueue:
         with self.epoch.query(self.camera) as h:
             node = self._head.read_snapshot(h)
             last = self._tail.read_snapshot(h)
+            armed = _gate.armed
+            if armed:
+                reclaim.check_live(node)
             for _ in range(i):
                 if node is last:
                     return None
                 node = node.next.read()
+                if armed:
+                    reclaim.check_live(node)
             return node.key

@@ -16,11 +16,15 @@ what it carries: a ``VNode`` its value, a BST internal node its child cells
 and update word.  Each cell's version list then holds at most its head, its
 displaced records not yet freed and one freed record that ends it and holds
 nothing, so nothing else stays reachable through it.  A BST info record
-drops its node references.  With poisoning on, ``_poison`` runs instead:
-the record is stamped with a trap pattern (its link included) and any later
-algorithm read of it raises :class:`PoisonedReadError`.  The stress suites
-assert that the trap never fires.  Poisoning arms the gate, so every
-operation takes the checked path and each walk runs :func:`check_live`.
+drops its node references.  With poisoning on, a record that a walk can
+reach (a version record, a structure node) runs ``_poison`` instead: it is
+stamped with a trap pattern (its link included) and any later algorithm
+read of it raises :class:`PoisonedReadError`.  A record with no ``_poison``
+(a BST info record, which no walk reaches) is freed as usual, so poisoning
+never keeps more alive than freeing.  The stress suites assert that the
+trap never fires.  Poisoning arms the gate, so every operation takes the
+checked path, and each walk and each queue query runs :func:`check_live`
+on every record whose fields it reads.
 
 Freeing is safe by the epoch argument below.  A displaced version is
 retired only after its successor is stamped, pinned or not:
@@ -302,9 +306,11 @@ class EpochManager:
         return doomed
 
     def _free_batch(self, records: list) -> None:
-        hook = "_poison" if POISON_ON else "_free"
+        # A record without a poison hook is freed as usual under poisoning.
+        poison = POISON_ON
         for rec in records:
-            free = getattr(rec, hook, None)
+            free = ((poison and getattr(rec, "_poison", None))
+                    or getattr(rec, "_free", None))
             if free is not None:
                 free()
 

@@ -9,20 +9,23 @@ resolves any handle by walking to the first record stamped at or below it.
 ``read``, ``cas`` and the walk help inline (one gated step, then a
 ``field_cas`` only when the head is still TBD); ``init_ts`` is the same
 check as a method, for the publish tail and racing helpers.
-:class:`VersionedPointer` holds that protocol once, and is itself the
+:class:`VersionedPointer` holds that protocol once, ``read``, ``cas``,
+``read_snapshot`` and the walk, for both cell forms, and is itself the
 atomic word: the head record and the lock that guards its swap are slots of
 the pointer, as in the paper's vCAS object.  The lock comes from
 :mod:`chronocas.atomic`'s shared table and obeys its rules: the swap's
-critical section takes no other table lock and no gated step.
-:class:`VersionedCas` wraps each value in a :class:`VNode`, and
-:class:`~chronocas.vcas_direct.DirectVersionedCas` threads the list through
-the user's nodes.  ``read`` and ``cas`` touch a constant number of shared
-locations; a snapshot read walks one link per newer version.  A cell whose
-head is stamped at or below the handle returns the head's value without
-walking, unless the gate is armed (see :mod:`chronocas._gate`).
+critical section takes no other table lock and no gated step.  The forms
+differ only in their records: :class:`VersionedCas` wraps each value in a
+:class:`VNode`, and :class:`~chronocas.vcas_direct.DirectVersionedCas`
+threads the list through the user's nodes, each its own value.  Both
+compare values with ``==``.  Every cell has a head from construction on.
+``read`` and ``cas`` touch a constant number of shared locations; a
+snapshot read walks one link per newer version.  A cell whose head is
+stamped at or below the handle returns the head's value without walking,
+unless the gate is armed (see :mod:`chronocas._gate`).
 
 :class:`~chronocas.bst.LeafBst` inlines two branches of
-:class:`VersionedCas` in its indirect descents: ``read``'s stamped-head
+:class:`VersionedPointer` in its indirect descents: ``read``'s stamped-head
 case and ``read_snapshot``'s no-walk case.  A change to either branch must
 update both.
 
@@ -97,7 +100,9 @@ class VNode(VersionRecord):
 class VersionedPointer:
     """One versioned pointer: the head of a version list, held in its own
     slot and guarded by a lock from the shared table, plus the camera it is
-    synchronized with.
+    synchronized with.  A record's ``val`` is the value it carries; a
+    winning ``cas`` makes its record with the form's ``_record(new_val,
+    head)`` and retires the displaced head to ``_reclaim``, if set.
 
     The head is read without the lock (one slot read after the gated step)
     and swung only under it.  A successful swap runs ``_appended(old, new)``
@@ -107,15 +112,57 @@ class VersionedPointer:
     lock; if it raises, nothing is logged and the head is not swung.
     """
 
-    __slots__ = ("_head", "_lock", "_camera", "_floor_ts", "_log")
+    __slots__ = ("_head", "_lock", "_camera", "_floor_ts", "_log", "_reclaim")
 
-    def __init__(self, first, camera: Camera) -> None:
-        # The subclass stamps ``first`` and sets the floor: its timestamp, or
-        # -1 for an empty direct cell (``first`` None).
+    def __init__(self, first, camera: Camera, reclaim_mgr=None) -> None:
+        # The subclass stamps ``first`` and sets the floor to its timestamp.
         self._camera = camera
         self._head = first
         self._lock = _next_stripe()
+        self._reclaim = reclaim_mgr
         self._log = instrument.VersionLog(first) if instrument.ENABLED else None
+
+    def read(self):
+        # LeafBst._descend inlines the unarmed, stamped-head case.
+        armed = _gate.armed
+        if armed:
+            _gate.step()
+        head = self._head
+        if (not armed or _help_step("no_read_help")) and head.ts == TBD:
+            field_cas(head, "ts", TBD, self._camera.peek_timestamp())
+        return head.val
+
+    def cas(self, old_val, new_val) -> bool:
+        armed = _gate.armed
+        if armed:
+            _gate.step()
+        head = self._head
+        if ((not armed or _help_step("no_init_before_swing"))
+                and head.ts == TBD):
+            field_cas(head, "ts", TBD, self._camera.peek_timestamp())
+        if head.val != old_val:
+            return False
+        if new_val == old_val:
+            return True
+        # A losing record was never visible; plain disposal.  The winner
+        # retires the displaced head only after ``_swap`` has stamped its
+        # successor, outside the critical section (see chronocas.reclaim).
+        if not self._swap(head, self._record(new_val, head)):
+            return False
+        if self._reclaim is not None:
+            self._reclaim.retire(head)
+        return True
+
+    def read_snapshot(self, handle: int):
+        """The value this cell held at ``handle``.  A head stamped at or
+        below the handle is that value, returned without a walk (0 hops; the
+        floor check holds, as handle >= head.ts >= floor) unless the gate is
+        armed; a TBD head walks too.  LeafBst._keys inlines the no-walk
+        case."""
+        head = self._head
+        if head.ts <= handle and not _gate.armed:
+            return head.val
+        return self._walk(handle).val
 
     def init_ts(self, node) -> None:
         """Install a current timestamp into ``node`` unless one is there.
@@ -143,17 +190,15 @@ class VersionedPointer:
             return True
         if _gate.armed:
             _gate.step()
-        cur = self._head
-        if cur is not None:
-            self.init_ts(cur)
+        self.init_ts(self._head)
         return False
 
     def _appended(self, old, new) -> None:
         pass
 
     def _walk(self, handle: int):
-        """The record (or None) this cell held at ``handle``, never a freed
-        one: a freed record on the walk raises."""
+        """The record this cell held at ``handle``, never a freed one: a
+        freed record on the walk raises."""
         if handle < self._floor_ts:
             raise SnapshotPreconditionError(
                 f"handle {handle} predates this cell "
@@ -162,11 +207,10 @@ class VersionedPointer:
         if armed:
             _gate.step()
         node = self._head
-        if node is not None:
-            if armed:
-                _gate.step()
-            if node.ts == TBD:
-                field_cas(node, "ts", TBD, self._camera.peek_timestamp())
+        if armed:
+            _gate.step()
+        if node.ts == TBD:
+            field_cas(node, "ts", TBD, self._camera.peek_timestamp())
         view = self._log.view() if self._log is not None else None
         hops = 0
         while node is not None:
@@ -188,54 +232,13 @@ class VersionedPointer:
 class VersionedCas(VersionedPointer):
     """Versioned cell over arbitrary values, one :class:`VNode` per version."""
 
-    __slots__ = ("_reclaim",)
+    __slots__ = ()
+
+    _record = VNode
 
     def __init__(self, initial, camera: Camera, reclaim_mgr=None) -> None:
-        self._reclaim = reclaim_mgr
         # The first record is private until the constructor returns, so it
         # is stamped directly rather than installed with ``init_ts``.
         first = VNode(initial, None)
         first.ts = self._floor_ts = camera.peek_timestamp()
-        super().__init__(first, camera)
-
-    def read(self):
-        # LeafBst._descend inlines the unarmed, stamped-head case.
-        armed = _gate.armed
-        if armed:
-            _gate.step()
-        head = self._head
-        if (not armed or _help_step("no_read_help")) and head.ts == TBD:
-            field_cas(head, "ts", TBD, self._camera.peek_timestamp())
-        return head.val
-
-    def cas(self, old_val, new_val) -> bool:
-        armed = _gate.armed
-        if armed:
-            _gate.step()
-        head = self._head
-        if ((not armed or _help_step("no_init_before_swing"))
-                and head.ts == TBD):
-            field_cas(head, "ts", TBD, self._camera.peek_timestamp())
-        if head.val != old_val:
-            return False
-        if new_val == old_val:
-            return True
-        # A losing record was never visible; plain disposal.  The winner
-        # retires the displaced head only after ``_swap`` has stamped its
-        # successor, outside the critical section (see chronocas.reclaim).
-        if not self._swap(head, VNode(new_val, head)):
-            return False
-        if self._reclaim is not None:
-            self._reclaim.retire(head)
-        return True
-
-    def read_snapshot(self, handle: int):
-        """The value this cell held at ``handle``.  A head stamped at or
-        below the handle is that value, returned without a walk (0 hops; the
-        floor check holds, as handle >= head.ts >= floor) unless the gate is
-        armed; a TBD head walks too.  LeafBst._keys inlines the no-walk
-        case."""
-        head = self._head
-        if head.ts <= handle and not _gate.armed:
-            return head.val
-        return self._walk(handle).val
+        super().__init__(first, camera, reclaim_mgr)

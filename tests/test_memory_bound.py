@@ -176,7 +176,8 @@ def test_freed_records_keep_nothing_alive(case):
     holders = []
     for obj in _objects(structure):
         freed = isinstance(obj, VersionRecord) and _freed(obj)
-        if freed and any(getattr(obj, name, None) is not None
+        # a direct node's ``val`` is the node itself, which holds nothing
+        if freed and any(getattr(obj, name, None) not in (None, obj)
                          for name in ("val", "left", "right", "update")):
             holders.append(obj)
         if type(obj) in reached and not freed:

@@ -5,8 +5,8 @@ import time
 
 import pytest
 
-from chronocas import MsQueue
-from chronocas import instrument, msqueue
+from chronocas import MsQueue, PoisonedReadError
+from chronocas import instrument, msqueue, reclaim
 from chronocas.atomic import AtomicCell
 from chronocas.bench import WorkloadConfig, stress
 from chronocas.oracle import SeqQueue
@@ -41,6 +41,28 @@ def test_peek_endpoints():
     q.enqueue(3)
     q.enqueue(10)
     assert q.peek_endpoints() == (3, 10)
+
+
+def test_queries_trap_a_freed_node():
+    """Under poisoning, a query that reads a freed node raises instead of
+    returning the node's trap pattern: the first node for ``ith`` and
+    ``peek_endpoints``, the last for ``scan``."""
+    reclaim.enable_poisoning(True)
+
+    def queue():
+        q = MsQueue()
+        q.enqueue(3)
+        q.enqueue(10)
+        return q
+    q = queue()
+    q._head.read().next.read()._poison()
+    for query in (lambda: q.ith(1), q.peek_endpoints):
+        with pytest.raises(PoisonedReadError):
+            query()
+    q = queue()
+    q._tail.read()._poison()
+    with pytest.raises(PoisonedReadError):
+        q.scan()
 
 
 def test_ith_examples():

@@ -5,9 +5,10 @@ import threading
 import pytest
 
 from chronocas import (INVALID_NEXTV, Camera, DirectVersionedCas, EpochManager,
-                       PoisonedReadError, ReclaimError, Versionable, _gate,
-                       instrument)
+                       LeafBst, PoisonedReadError, ReclaimError, Versionable,
+                       _gate, instrument)
 from chronocas import reclaim as reclaim_mod
+from chronocas.bst import IInfo
 from chronocas.vcas import SnapshotPreconditionError, VersionedCas
 from versions import head, version_chain
 
@@ -277,6 +278,17 @@ def test_poisoned_free_still_traps_links(poisoning):
     _, mgr, _, displaced, _ = _direct_history(3)
     _free_everything(mgr)
     assert all(n.nextv is reclaim_mod._TRAP for n in displaced)
+
+
+def test_poisoning_frees_a_record_without_a_poison_hook(poisoning):
+    """A BST info record has no trap pattern (no walk reaches one), so
+    poisoning frees it as usual: a swept ``IInfo`` drops its nodes."""
+    tree = LeafBst(epoch=EpochManager(advance_every=0))
+    assert tree.insert(1)
+    op = tree._root.update.read()[1]      # CLEAN, naming the finished insert
+    assert isinstance(op, IInfo) and op.p is tree._root
+    _free_everything(tree.epoch)
+    assert op.p is None and op.l is None and op.new_internal is None
 
 
 @pytest.mark.parametrize("history", [_indirect_history, _direct_history],

@@ -182,8 +182,9 @@ def test_gated_steps_of_each_access_are_exact():
     now = cam.take_snapshot()
     assert _steps(d.read) == 2
     assert _steps(lambda: d.read_snapshot(now)) == 2    # 0 hops
-    assert _steps(empty.read) == 1                      # head only
-    assert _steps(lambda: empty.read_snapshot(now)) == 1
+    # an empty cell's head is its sentinel: head, help check
+    assert _steps(empty.read) == 2
+    assert _steps(lambda: empty.read_snapshot(now)) == 2
     assert empty.read() is None and empty.read_snapshot(now) is None
     # head, help check, link install, swap, init_ts (three as above)
     assert _steps(lambda: d.cas(a, b)) == 7
@@ -351,36 +352,54 @@ def test_concurrent_race_accepted_by_checker():
         assert check_linearizable(hist, spec).accepted
 
 
-@pytest.mark.parametrize("mutation,program", [
-    ("no_read_help", "read"),
-    ("no_init_before_swing", "failcas"),
+class _Node(Versionable):
+    __slots__ = ("name",)
+
+    def __init__(self, name) -> None:
+        super().__init__()
+        self.name = name
+
+    def __repr__(self) -> str:
+        return self.name
+
+
+@pytest.mark.parametrize("mutation,program,form", [
+    pytest.param(mutation, program, form, id=f"{mutation}-{program}"
+                 + ("-direct" if form == "direct" else ""))
+    for form in ("indirect", "direct")
+    for mutation, program in (("no_read_help", "read"),
+                              ("no_init_before_swing", "failcas"))
 ])
-def test_mutations_break_linearizability(mutation, program):
-    """Removing either helping step is observable: some interleaving of the
-    canonical racing program has no linearization."""
+def test_mutations_break_linearizability(mutation, program, form):
+    """Removing either helping step is observable in both cell forms: some
+    interleaving of the canonical racing program has no linearization."""
     def make():
         cam = Camera()
-        v = VersionedCas("A", cam)
+        if form == "indirect":
+            A, B, D = "A", "B", "D"
+            v = VersionedCas(A, cam)
+        else:
+            A, B, D = _Node("A"), _Node("B"), _Node("D")
+            v = DirectVersionedCas(A, cam)
         rec = Recorder()
 
         def t1():
-            rec.run(1, "vcas", ("A", "B"), lambda: v.cas("A", "B"))
+            rec.run(1, "vcas", (A, B), lambda: v.cas(A, B))
 
         def t2():
             if program == "read":
                 rec.run(2, "vread", (), v.read)
             else:
-                rec.run(2, "vcas", ("A", "D"), lambda: v.cas("A", "D"))
+                rec.run(2, "vcas", (A, D), lambda: v.cas(A, D))
             h = rec.run(2, "snapshot", (), cam.take_snapshot)
             rec.run(2, "readsnapshot", (h,), lambda: v.read_snapshot(h))
-        return [t1, t2], rec.history
+        return [t1, t2], lambda: (rec.history(), A)
 
-    spec = SeqVcas.create("A")
     vcas_mod._mutations = frozenset([mutation])
     try:
         res = explore(make)
-        rejected = sum(1 for h in res.histories
-                       if check_linearizable(h, spec).rejected)
+        rejected = sum(1 for h, first in res.histories
+                       if check_linearizable(h, SeqVcas.create(first)).rejected)
     finally:
         vcas_mod._mutations = frozenset()
     assert res.complete

@@ -4,8 +4,8 @@ from chronocas import INVALID_NEXTV
 
 
 def head(cell):
-    """The newest record of ``cell``'s version list (None while a direct cell
-    is empty)."""
+    """The newest record of ``cell``'s version list (the shared sentinel
+    while a direct cell is empty)."""
     return cell._head
 
 
