@@ -28,8 +28,12 @@ is live.  It is written only by :func:`install_controller`/
 ``CHRONOCAS_DEBUG_POISON=1``).  Turning one off leaves the flag set while
 another is still live.  Assigning ``_controller`` or ``_counter`` directly
 leaves the flag stale and the hook blind.  Hooks and modes change only
-between operations, so an operation may read :data:`armed` once and keep it
-(the walks and the ``LeafBst`` descents do).
+between operations, so an operation may read :data:`armed` once and keep it.
+The fast paths that do: the snapshot walk and the 0-hop return of
+``VersionedPointer.read_snapshot``; ``LeafBst``'s descents, ordered walk and
+``height``, which take a stamped child head inline; and ``MsQueue``'s
+query walks (``peek_endpoints``, ``ith``, ``scan``), which load each next
+link inline.
 
 Immutable fields (a version node's value and older-version link, node keys)
 are read without gating: once published they never change, so their reads

@@ -9,7 +9,7 @@ thread between accesses without deadlock.  A versioned pointer
 (:class:`chronocas.vcas.VersionedPointer`) keeps its head the same way in its
 own slots, with a lock from the same table; :class:`AtomicCell` serves the
 unversioned words: the BST update words, the camera's counter, the queue's
-write-once next links and :class:`PlainCell`.
+nodes (each its own write-once next link) and :class:`PlainCell`.
 
 Cells share stripes, so a critical section under a table lock obeys two
 rules.  It takes no other table lock: the second lock may be its own stripe,
@@ -51,6 +51,7 @@ class AtomicCell:
         self._lock = _next_stripe()
 
     def read(self):
+        # MsQueue's query walks inline the unarmed case.
         if _gate.armed:
             _gate.step()
         return self._value

@@ -349,6 +349,7 @@ class LeafBst(OrderedQueries):
             deepest = 0
             node, d, stack = self._root, 0, []
             armed = _gate.armed
+            inline = self._inline and not armed   # _descend's inline step
             while True:
                 if armed:
                     reclaim.check_live(node)
@@ -361,4 +362,8 @@ class LeafBst(OrderedQueries):
                 if not stack:
                     return deepest - 1 if deepest else 0
                 cell, d = stack.pop()
-                node = cell.read_snapshot(h)
+                if inline:
+                    head = cell._head
+                    node = head.val if head.ts <= h else cell.read_snapshot(h)
+                else:
+                    node = cell.read_snapshot(h)

@@ -1,12 +1,19 @@
 """Michael-Scott queue with atomic multi-point queries.
 
 Head and tail are versioned cells sharing one camera; a query takes a
-snapshot handle and reads both at that cut.  A node's next link is a plain
-atomic word: it is written once, from None, before the tail can swing past
-its node (enqueues linearize at the tail swing), and a query follows links
-only from the head up to the tail it read at its handle.  Every link it
-follows was therefore set before the cut and never changes afterwards, so a
-current read gives the link's value at the cut.
+snapshot handle and reads both at that cut.  A node is its own next link:
+:class:`QueueNode` is an :class:`~chronocas.atomic.AtomicCell` whose value
+is the next node, so a node is one object.  The link is written once, from
+None, before the tail can swing past its node (enqueues linearize at the
+tail swing), and a query follows links only from the head up to the tail it
+read at its handle.  Every link it follows was therefore set before the cut
+and never changes afterwards, so a current read gives the link's value at
+the cut.
+
+The queries' walks (``peek_endpoints``, ``ith``, ``scan``) read
+``_gate.armed`` once.  Unarmed, each link is one load of the node's
+``_value``, the value ``AtomicCell.read`` returns; armed, they call
+``read()`` on every node and trap-check it.
 
 Keys must not be None; None is the empty indication.
 """
@@ -20,12 +27,14 @@ from .reclaim import EpochManager
 from .vcas import VersionedCas
 
 
-class QueueNode:
-    __slots__ = ("key", "next", "_poisoned")
+class QueueNode(AtomicCell):
+    """A queue node and its write-once next link (the cell's value)."""
+
+    __slots__ = ("key", "_poisoned")
 
     def __init__(self, key) -> None:
+        super().__init__(None)
         self.key = key
-        self.next = AtomicCell(None)
         self._poisoned = False
 
     def _poison(self) -> None:
@@ -49,9 +58,9 @@ class MsQueue:
         with self.epoch.maybe_pinned():
             while True:
                 last = self._tail.read()
-                nxt = last.next.read()
+                nxt = last.read()
                 if nxt is None:
-                    if last.next.cas(None, node):
+                    if last.cas(None, node):
                         self._tail.cas(last, node)
                         return
                 else:
@@ -62,7 +71,7 @@ class MsQueue:
             while True:
                 first = self._head.read()
                 last = self._tail.read()
-                nxt = first.next.read()
+                nxt = first.read()
                 if first is last:
                     if nxt is None:
                         return None
@@ -81,10 +90,12 @@ class MsQueue:
             tail = self._tail.read_snapshot(h)
             if head is tail:
                 return (None, None)
-            first = head.next.read()
             if _gate.armed:
+                first = head.read()
                 for node in (head, first, tail):
                     reclaim.check_live(node)
+            else:
+                first = head._value
             return (first.key, tail.key)
 
     def scan(self, at: int | None = None) -> list:
@@ -99,17 +110,19 @@ class MsQueue:
             return self._scan_at(h)
 
     def _scan_at(self, h: int) -> list:
-        # Each node is trap-checked once, as soon as it is reached.
         out = []
         node = self._head.read_snapshot(h)
         last = self._tail.read_snapshot(h)
-        armed = _gate.armed
-        if armed:
+        if _gate.armed:
+            # Each node is trap-checked once, as soon as it is reached.
             reclaim.check_live(node)
-        while node is not last:
-            node = node.next.read()
-            if armed:
+            while node is not last:
+                node = node.read()
                 reclaim.check_live(node)
+                out.append(node.key)
+            return out
+        while node is not last:
+            node = node._value
             out.append(node.key)
         return out
 
@@ -126,7 +139,9 @@ class MsQueue:
             for _ in range(i):
                 if node is last:
                     return None
-                node = node.next.read()
                 if armed:
+                    node = node.read()
                     reclaim.check_live(node)
+                else:
+                    node = node._value
             return node.key

@@ -41,7 +41,12 @@ without its pin) raises.
 Queries must pin for their whole snapshot lifetime, and a thread holds at
 most one snapshot handle at a time; every data-structure query runs inside
 :meth:`EpochManager.query`, which fuses pin + take_snapshot so the epoch
-argument for timestamp-based safety holds.
+argument for timestamp-based safety holds.  Its context is one small object
+over the thread's slot: entering it announces the epoch unless the thread
+is already pinned, then takes and records the handle; leaving it clears the
+handle and withdraws only an announcement it made itself.  No structure
+calls :meth:`EpochManager.pin`: updates pin through ``maybe_pinned`` and
+queries through ``query``, both of which write the slot directly.
 
 A pinned ``retire`` takes no lock: it appends to the current bag,
 ``_cur_bag``, with one ``list.append``, which the GIL makes atomic.  This is
@@ -127,6 +132,40 @@ class _Local(threading.local):
     slot = None   # the calling thread's _Slot once it has one
 
 
+class _Query:
+    """``EpochManager.query``'s context: one snapshot handle of ``camera``
+    held for the block, under a pin taken on entry unless the thread
+    already holds one."""
+
+    __slots__ = ("_slot", "_camera", "_took_pin")
+
+    def __init__(self, slot: _Slot, camera) -> None:
+        self._slot = slot
+        self._camera = camera
+
+    def __enter__(self) -> int:
+        slot = self._slot
+        if slot.snapshot is not None:
+            raise ReclaimError("thread already holds a snapshot handle")
+        took_pin = slot.epoch is None
+        if took_pin:
+            slot.epoch = slot._mgr._epoch
+        try:
+            handle = slot.snapshot = self._camera.take_snapshot()
+        except BaseException:
+            if took_pin:
+                slot.epoch = None
+            raise
+        self._took_pin = took_pin
+        return handle
+
+    def __exit__(self, *exc) -> None:
+        slot = self._slot
+        slot.snapshot = None
+        if self._took_pin:
+            slot.epoch = None
+
+
 class Guard:
     __slots__ = ("_slot", "active")
 
@@ -186,10 +225,6 @@ class EpochManager:
         finally:
             self.unpin(guard)
 
-    def is_pinned(self) -> bool:
-        slot = self._local.slot
-        return slot is not None and slot.epoch is not None
-
     def maybe_pinned(self):
         """Pin for a ``with`` block unless the calling thread already holds
         a pin (an operation inside an outer critical section is covered by
@@ -205,11 +240,7 @@ class EpochManager:
         slot = self._my_slot()
         if slot.epoch is None:
             raise ReclaimError("snapshot taken without a pin")
-        if slot.snapshot is not None:
-            raise ReclaimError("thread already holds a snapshot handle")
-        handle = camera.take_snapshot()
-        slot.snapshot = handle
-        return handle
+        return _Query(slot, camera).__enter__()   # covered by the pin
 
     def release_snapshot(self, handle: int) -> None:
         slot = self._my_slot()
@@ -217,20 +248,11 @@ class EpochManager:
             raise ReclaimError("releasing a handle this thread does not hold")
         slot.snapshot = None
 
-    @contextmanager
-    def query(self, camera):
+    def query(self, camera) -> _Query:
         """Pin (unless already pinned, as ``maybe_pinned``) and hold one
-        snapshot handle of ``camera`` for the block; yields the handle."""
-        guard = None if self.is_pinned() else self.pin()
-        handle = None
-        try:
-            handle = self.snapshot(camera)
-            yield handle
-        finally:
-            if handle is not None:
-                self.release_snapshot(handle)
-            if guard is not None:
-                self.unpin(guard)
+        snapshot handle of ``camera`` for a ``with`` block, which receives
+        the handle."""
+        return _Query(self._local.slot or self._my_slot(), camera)
 
     # -- retire / advance / collect ------------------------------------------
 

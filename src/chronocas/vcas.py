@@ -157,8 +157,8 @@ class VersionedPointer:
         """The value this cell held at ``handle``.  A head stamped at or
         below the handle is that value, returned without a walk (0 hops; the
         floor check holds, as handle >= head.ts >= floor) unless the gate is
-        armed; a TBD head walks too.  LeafBst._keys inlines the no-walk
-        case."""
+        armed; a TBD head walks too.  LeafBst._keys and LeafBst.height
+        inline the no-walk case."""
         head = self._head
         if head.ts <= handle and not _gate.armed:
             return head.val

@@ -5,8 +5,9 @@ version list is a chain of user nodes and a record's value is the node
 itself (:attr:`Versionable.val`).  ``read``, ``cas`` (comparing with ``==``,
 as the indirect form does), the head, helping, publish tail, floor check and
 walk are :class:`~chronocas.vcas.VersionedPointer`'s; this form keeps only
-how a winning ``cas`` publishes its node (link it to the head it displaces)
-and the recorded-once check.  Legal only when every node is the new value of
+how a winning ``cas`` publishes its node (link it to the head it displaces,
+or refuse a node whose link ``init_nextv`` already set) and the
+recorded-once check.  Legal only when every node is the new value of
 at most one successful ``cas`` anywhere (recorded-once) and all attempts
 publishing a node name the same expected value; under that discipline
 version lists behave as if disjoint, and the floor check keeps every walk
@@ -31,7 +32,8 @@ _EMPTY.ts = -1
 
 
 class RecordedOnceError(RuntimeError):
-    """A node was the new value of two successful publications."""
+    """A node was the new value of two successful publications, or was
+    published after ``init_nextv`` had set its link."""
 
 
 class Versionable(VersionRecord):
@@ -75,9 +77,16 @@ class DirectVersionedCas(VersionedPointer):
     @staticmethod
     def _record(new_node, head):
         # Publication links the new node to the version it displaces, then
-        # the swap swings the head.  The link CAS can lose only to a
-        # normalization of an initialized-but-unpublished node.
-        field_cas(new_node, "nextv", INVALID_NEXTV, head)
+        # the swap swings the head.  The link CAS loses to a racing attempt
+        # that published the same node over the same head (the link is then
+        # already ``head``), or to a normalization of an initialized node:
+        # its link is then None and publishing it would cut the cell's
+        # history below it, so the publication is refused before the swing.
+        if (not field_cas(new_node, "nextv", INVALID_NEXTV, head)
+                and new_node.nextv is not head):
+            raise RecordedOnceError(
+                f"{type(new_node).__name__} was initialized before its "
+                f"publication")
         return new_node
 
     def _appended(self, old, new) -> None:

@@ -1,5 +1,4 @@
 import random
-from contextlib import contextmanager
 
 import pytest
 
@@ -10,6 +9,8 @@ from chronocas.oracle import SeqLeafBst, SeqOrderedSet
 from chronocas._gate import StepCounter
 from chronocas.atomic import AtomicCell
 from chronocas.bst import INF1, INF2, BstInternal
+
+from armed import ARMED_BY
 
 
 def test_insert_find():
@@ -307,31 +308,16 @@ def test_search_restarts_when_the_leaf_moved_after_the_descent():
     assert t.range_query(0, 100) == ref.step(("range", 0, 100))
 
 
-@contextmanager
-def _switched_on(switch):
-    switch(True)
-    try:
-        yield
-    finally:
-        switch(False)
-
-
-ARMED_BY = {
-    "instrument": lambda: _switched_on(instrument.enable),
-    "poison": lambda: _switched_on(reclaim.enable_poisoning),
-    "counter": StepCounter,
-}
-
-
 @pytest.mark.parametrize("mode", list(ARMED_BY))
 def test_unarmed_descents_follow_stamped_heads_without_a_call(monkeypatch, mode):
-    """On a stamped indirect tree with the gate unarmed, find and the
-    ordered walk follow every child cell inline.  Once instrumentation,
+    """On a stamped indirect tree with the gate unarmed, find, the ordered
+    walk and height follow every child cell inline.  Once instrumentation,
     poisoning or a step counter arms the gate, they call the cell method for
-    every cell: find reads each cell on its path, and the walk calls
+    every cell: find reads each cell on its path, the walk calls
     read_snapshot 2N times for N keys (N internals and N + 1 leaves below
-    the root, less the pruned top sentinel leaf).  Instrumented, each of
-    those reads is in the hop histogram."""
+    the root, less the pruned top sentinel leaf), and height 2N + 2 times
+    (every cell, the root's two included).  Instrumented, each of those
+    walk reads is in the hop histogram."""
     rng = random.Random(4)
     t = LeafBst()
     keys = sorted(rng.sample(range(1000), 300))
@@ -348,6 +334,7 @@ def test_unarmed_descents_follow_stamped_heads_without_a_call(monkeypatch, mode)
         monkeypatch.setattr(VersionedCas, name, counted)
     assert [t.find(k) for k in probes] == found
     assert t.range_query(0, 999) == keys
+    height = t.height()
     assert calls == []
     with ARMED_BY[mode]():
         instrument.reset()
@@ -358,6 +345,9 @@ def test_unarmed_descents_follow_stamped_heads_without_a_call(monkeypatch, mode)
         assert calls == ["read_snapshot"] * (2 * len(keys))
         if mode == "instrument":
             assert sum(instrument.hop_histogram().values()) == 2 * len(keys)
+        calls.clear()
+        assert t.height() == height
+        assert calls == ["read_snapshot"] * (2 * len(keys) + 2)
 
 
 def test_recorded_once_holds_across_workload():

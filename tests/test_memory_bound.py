@@ -221,3 +221,24 @@ def test_cells_share_one_lock_table(mode):
              if isinstance(obj, (AtomicCell, VersionedPointer))]
     assert len(cells) > 6_000
     assert len({id(cell._lock) for cell in cells}) <= 256
+
+
+# Traced bytes per element after 10k enqueues, keys included; set between a
+# node with its own next-link cell (about 139) and a node that is its own
+# next link (about 99).
+QUEUE_BYTES_PER_ELEMENT = 120
+
+
+def test_queue_bytes_per_element_bounded():
+    n = 10_000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        q = MsQueue()
+        for i in range(n):
+            q.enqueue(i)
+        gc.collect()
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert size / n < QUEUE_BYTES_PER_ELEMENT, size / n

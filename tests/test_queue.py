@@ -6,10 +6,12 @@ import time
 import pytest
 
 from chronocas import MsQueue, PoisonedReadError
-from chronocas import instrument, msqueue, reclaim
-from chronocas.atomic import AtomicCell
+from chronocas import instrument, reclaim
 from chronocas.bench import WorkloadConfig, stress
+from chronocas.msqueue import QueueNode
 from chronocas.oracle import SeqQueue
+
+from armed import ARMED_BY
 
 
 def test_enqueue_dequeue_roundtrip():
@@ -55,7 +57,7 @@ def test_queries_trap_a_freed_node():
         q.enqueue(10)
         return q
     q = queue()
-    q._head.read().next.read()._poison()
+    q._head.read().read()._poison()
     for query in (lambda: q.ith(1), q.peek_endpoints):
         with pytest.raises(PoisonedReadError):
             query()
@@ -91,6 +93,56 @@ def test_worked_scan_at_old_handle():
     assert q.scan() == [10, 10]
 
 
+@pytest.mark.parametrize("mode", list(ARMED_BY))
+def test_unarmed_queue_walks_load_links_without_a_call(monkeypatch, mode):
+    """With the gate unarmed, scan, ith and peek_endpoints load every next
+    link inline.  Once instrumentation, poisoning or a step counter arms the
+    gate, they call read() on every node they leave: scan N times for N
+    elements, ith(i) min(i, N) times and peek_endpoints once.  Both paths
+    give the SeqQueue answer, at an old handle too."""
+    q, ref = MsQueue(), SeqQueue()
+    for i in range(40):
+        q.enqueue(i)
+        ref.step(("enqueue", i))
+    for _ in range(10):
+        assert q.dequeue() == ref.step(("dequeue",))
+    old = ref.step(("scan",))
+    guard = q.epoch.pin()
+    h = q.epoch.snapshot(q.camera)
+    for i in range(40, 50):           # updates the old handle must not see
+        q.enqueue(i)
+        ref.step(("enqueue", i))
+        assert q.dequeue() == ref.step(("dequeue",))
+    calls = []
+    read = QueueNode.read
+
+    def counted(node):
+        calls.append(node)
+        return read(node)
+    monkeypatch.setattr(QueueNode, "read", counted)
+    cur = ref.step(("scan",))
+    indices = range(1, len(cur) + 2)
+
+    def answers():
+        return (q.scan(), [q.ith(i) for i in indices], q.peek_endpoints())
+    expected = (cur, [ref.step(("ith", i)) for i in indices],
+                ref.step(("peek",)))
+
+    assert q.scan(at=h) == old
+    assert calls == []
+    with ARMED_BY[mode]():
+        assert q.scan(at=h) == old
+        assert len(calls) == len(old)
+    q.epoch.release_snapshot(h)
+    q.epoch.unpin(guard)
+    calls.clear()
+    assert answers() == expected
+    assert calls == []
+    with ARMED_BY[mode]():
+        assert answers() == expected
+    assert len(calls) == len(cur) + sum(min(i, len(cur)) for i in indices) + 1
+
+
 def _random_history(q, ref, seed, steps):
     rng = random.Random(seed)
     for _ in range(steps):
@@ -114,29 +166,18 @@ def test_sequential_replay_matches_oracle():
     _random_history(MsQueue(), SeqQueue(), seed=11, steps=1500)
 
 
-class _CountingCell(AtomicCell):
-    """A next word that records the expected value of each successful swap."""
-
-    __slots__ = ("swaps",)
-    made: list = []
-
-    def __init__(self, value) -> None:
-        super().__init__(value)
-        self.swaps = []
-        _CountingCell.made.append(self)
-
-    def cas(self, expected, new) -> bool:
-        if super().cas(expected, new):
-            self.swaps.append(expected)
-            return True
-        return False
-
-
 def test_next_links_written_at_most_once(monkeypatch):
     """Every next word is swapped at most once, from None, however the
     enqueuers race; the queries' current reads of next links rest on it."""
-    monkeypatch.setattr(msqueue, "AtomicCell", _CountingCell)
-    monkeypatch.setattr(_CountingCell, "made", [])
+    swaps: dict = {}                  # node -> expected value of each swap
+    cas = QueueNode.cas
+
+    def recording_cas(node, expected, new):
+        if cas(node, expected, new):
+            swaps.setdefault(node, []).append(expected)
+            return True
+        return False
+    monkeypatch.setattr(QueueNode, "cas", recording_cas)
     old_switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     q = MsQueue()
@@ -168,9 +209,8 @@ def test_next_links_written_at_most_once(monkeypatch):
         sys.setswitchinterval(old_switch)
     assert not any(w.is_alive() for w in workers)
     assert sorted(dequeued) == [(t, i) for t in range(3) for i in range(per_thread)]
-    swaps = [c.swaps for c in _CountingCell.made]
-    assert all(s in ([], [None]) for s in swaps)
-    assert sum(map(len, swaps)) == 3 * per_thread   # one link per enqueue
+    assert all(s == [None] for s in swaps.values())
+    assert sum(map(len, swaps.values())) == 3 * per_thread   # one link per enqueue
 
 
 def test_each_pair_retires_three_records():
@@ -221,7 +261,7 @@ def test_snapshot_is_load_bearing_for_peek():
             tail = self._tail.read()
             if head is tail:
                 return (None, None)
-            first = head.next.read()
+            first = head.read()
             return (first.key, tail.key)
 
     orig = MsQueue.peek_endpoints

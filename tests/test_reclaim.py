@@ -134,6 +134,56 @@ def test_second_snapshot_without_release_diagnosed():
         mgr.release_snapshot(h)
 
 
+def _pin_and_handle(mgr):
+    """The calling thread's announced epoch and snapshot handle."""
+    slot = mgr._local.slot
+    return (None, None) if slot is None else (slot.epoch, slot.snapshot)
+
+
+def test_nested_query_refused_keeping_the_outer_pin_and_handle():
+    mgr, cam = EpochManager(), Camera()
+    with mgr.query(cam) as h:
+        with pytest.raises(ReclaimError):
+            with mgr.query(cam):
+                pass
+        with pytest.raises(ReclaimError):
+            mgr.snapshot(cam)
+        assert _pin_and_handle(mgr) == (1, h)
+    assert _pin_and_handle(mgr) == (None, None)
+
+
+def test_query_releases_pin_and_handle_on_exception():
+    mgr, cam = EpochManager(), Camera()
+    with pytest.raises(KeyError):
+        with mgr.query(cam):
+            raise KeyError("inside the block")
+    assert _pin_and_handle(mgr) == (None, None)
+    with mgr.query(cam) as h:         # the slot is usable again
+        assert _pin_and_handle(mgr) == (1, h)
+
+
+def test_query_under_an_outer_pin_leaves_it_held():
+    mgr, cam = EpochManager(), Camera()
+    guard = mgr.pin()
+    with mgr.query(cam) as h:
+        assert _pin_and_handle(mgr) == (1, h)
+    assert _pin_and_handle(mgr) == (1, None)
+    mgr.unpin(guard)
+    assert _pin_and_handle(mgr) == (None, None)
+
+
+def test_failed_snapshot_leaves_no_pin():
+    class BrokenCamera:
+        def take_snapshot(self):
+            raise RuntimeError("no handle")
+
+    mgr = EpochManager()
+    with pytest.raises(RuntimeError):
+        with mgr.query(BrokenCamera()):
+            pass
+    assert _pin_and_handle(mgr) == (None, None)
+
+
 def test_held_snapshot_blocks_reclamation_growth():
     """A long-held handle keeps its epoch pinned, so retired versions pile
     up; releasing lets the high-water mark plateau."""
@@ -476,8 +526,8 @@ def test_maybe_pinned_reuses_one_context_per_thread():
     ctx = mgr.maybe_pinned()
     assert mgr.maybe_pinned() is ctx
     with ctx:
-        assert mgr.is_pinned()
-    assert not mgr.is_pinned()
+        assert _pin_and_handle(mgr) == (1, None)
+    assert _pin_and_handle(mgr) == (None, None)
     assert mgr.maybe_pinned() is ctx
 
 
@@ -500,7 +550,7 @@ def test_maybe_pinned_unpins_on_exception():
     with pytest.raises(KeyError):
         with ctx:
             raise KeyError("inside the block")
-    assert not mgr.is_pinned()
+    assert _pin_and_handle(mgr) == (None, None)
     assert mgr.maybe_pinned() is ctx
     with mgr.pinned():                # the slot is usable again
         pass

@@ -220,29 +220,50 @@ def test_distinct_values_across_history():
 
 
 def test_racing_init_nextv_vs_publication():
-    """The normalization CAS and the publication CAS race to a single
-    outcome: nextv ends up nil or the intended older link, never the
-    invalid marker."""
+    """The normalization CAS and the publication race to one of two
+    outcomes: the publication links b to a and swings the head to b, or the
+    normalization set b's link first and the publication is refused before
+    the swing, leaving the head at a.  Never a published b without its
+    link."""
     def make():
         cam = Camera()
         a = Node("a")
         cell = DirectVersionedCas(a, cam)
         b = Node("b")
         rec = Recorder()
+        refused = []
 
         def publisher():
-            rec.run(0, "cas", ("a", "b"), lambda: cell.cas(a, b))
+            try:
+                rec.run(0, "cas", ("a", "b"), lambda: cell.cas(a, b))
+            except RecordedOnceError:
+                refused.append(True)
 
         def normalizer():
             rec.run(1, "initnextv", (), lambda: cell.init_nextv(b))
 
         def finish():
-            link = "nil" if b.nextv is None else getattr(b.nextv, "payload", "?")
+            link = ("refused" if refused
+                    else getattr(b.nextv, "payload", repr(b.nextv)))
             return link, cell.read().payload
         return [publisher, normalizer], finish
 
     res = explore(make)
     assert res.complete
-    for link, head in res.histories:
-        assert link in ("nil", "a")   # never the invalid marker
-        assert head == "b"
+    outcomes = set(res.histories)
+    assert outcomes == {("a", "b"), ("refused", "a")}, outcomes
+
+
+def test_publishing_a_normalized_node_is_refused():
+    """A node whose link init_nextv set (here before its publication) would
+    be published with link None, cutting the cell's history below it: the
+    publication is refused, and the cell still reads a at the old handle."""
+    cam = Camera()
+    a, b = Node("a"), Node("b")
+    cell = DirectVersionedCas(a, cam)
+    h = cam.take_snapshot()
+    cell.init_nextv(b)
+    with pytest.raises(RecordedOnceError):
+        cell.cas(a, b)
+    assert cell.read() is a
+    assert cell.read_snapshot(h) is a
