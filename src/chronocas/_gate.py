@@ -30,10 +30,12 @@ another is still live.  Assigning ``_controller`` or ``_counter`` directly
 leaves the flag stale and the hook blind.  Hooks and modes change only
 between operations, so an operation may read :data:`armed` once and keep it.
 The fast paths that do: the snapshot walk and the 0-hop return of
-``VersionedPointer.read_snapshot``; ``LeafBst``'s descents, ordered walk and
-``height``, which take a stamped child head inline; and ``MsQueue``'s
-query walks (``peek_endpoints``, ``ith``, ``scan``), which load each next
-link inline.
+``VersionedPointer.read_snapshot``; ``LeafBst``'s ordered walk and
+``height``, which take a stamped child head inline, and its descent
+(``find``, ``multisearch``, the update search), whose unarmed loop does
+only that step, a leaf test and a user-key comparison per level; and
+``MsQueue``'s query walks (``peek_endpoints``, ``ith``, ``scan``), which
+load each next link inline.
 
 Immutable fields (a version node's value and older-version link, node keys)
 are read without gating: once published they never change, so their reads

@@ -45,6 +45,15 @@ INF1 = Bound(2)
 INF2 = Bound(3)
 
 
+def _below(key, node) -> bool:
+    """``key < node.key`` for a key an operation routes: a user key, or the
+    INF1 key of the root's left child.  A sentinel's bound sorts above
+    every such key, so it is answered without a comparison (a ``Bound``
+    comparison is a Python call).  ``LeafBst._search`` inlines it."""
+    k = node.key
+    return k is INF1 or k is INF2 or key < k
+
+
 class BstLeaf(Versionable):
     __slots__ = ("key",)
 
@@ -132,32 +141,63 @@ class LeafBst(OrderedQueries):
 
     # -- search ------------------------------------------------------------------
     #
+    # Every key a search is given is a user key (``_check_key`` guards each
+    # entry point), so it sorts below both sentinels and turns left at both:
+    # the descents start at ``root.left`` and pass the INF1 node, when there
+    # is one, by its left child, comparing only user keys below it.  The
+    # update search's re-reads and the helpers that pick a child by key do
+    # the same through ``_below``.
+    #
     # In the indirect build with the gate unarmed, the descents take a child
     # cell's step inline: a stamped head is the value ``VersionedCas.read``
     # returns (and ``read_snapshot`` at a handle at or above the stamp), so
-    # its value is used without the call.  Any other case calls the method,
-    # which helps a TBD head and walks; an armed gate (a hook, instrumentation
-    # or poisoning) calls it for every cell.  Each operation reads
+    # its value is used without the call.  A TBD head, or one newer than the
+    # handle, calls the method, which helps it and walks.  An armed gate (a
+    # hook, instrumentation or poisoning), the direct build and the plain
+    # build call the method for every cell.  Each operation reads
     # ``_gate.armed`` once: hooks and modes change only between operations.
 
     def _descend(self, key, h=None):
         """The last three nodes on ``key``'s path, ``(gp, p, l)``, found by
         child cells alone, read now or, given a handle ``h``, at ``h``;
-        ``gp`` is None when ``p`` is the root."""
-        inline = self._inline and not _gate.armed
-        newest = TBD - 1 if h is None else h
-        gp = p = None
-        node = self._root
-        while isinstance(node, BstInternal):
+        ``gp`` is None when ``p`` is the root.
+
+        ``key`` is a user key, and ``root.left`` is either the INF1 leaf
+        (the set is empty) or the INF1 node, whose right child is always
+        the INF1 leaf; so the walk reads ``root.left``, then the INF1
+        node's ``left``, and compares no bound.  Two loops take that path,
+        so that no level tests which of them it is in.  Unarmed in the
+        indirect build, a level tests for a leaf, compares ``key`` and takes
+        the child's stamped head inline; otherwise it calls the cell's
+        method, with the gated steps that takes."""
+        root = self._root
+        cell = root.left
+        if self._inline and not _gate.armed:
+            newest = TBD - 1 if h is None else h
+            head = cell._head
+            p = head.val if head.ts <= newest else (
+                cell.read() if h is None else cell.read_snapshot(h))
+            if not isinstance(p, BstInternal):      # the INF1 leaf
+                return None, root, p
+            gp, cell = root, p.left
+            while True:
+                head = cell._head
+                node = head.val if head.ts <= newest else (
+                    cell.read() if h is None else cell.read_snapshot(h))
+                if not isinstance(node, BstInternal):
+                    return gp, p, node
+                gp, p = p, node
+                cell = node.left if key < node.key else node.right
+        p = cell.read() if h is None else cell.read_snapshot(h)
+        if not isinstance(p, BstInternal):
+            return None, root, p
+        gp, cell = root, p.left
+        while True:
+            node = cell.read() if h is None else cell.read_snapshot(h)
+            if not isinstance(node, BstInternal):
+                return gp, p, node
             gp, p = p, node
             cell = node.left if key < node.key else node.right
-            if inline:
-                head = cell._head
-                if head.ts <= newest:
-                    node = head.val
-                    continue
-            node = cell.read() if h is None else cell.read_snapshot(h)
-        return gp, p, node
 
     def _search(self, key):
         """EFRB's update search: ``(gp, p, l)`` with the update words of
@@ -182,10 +222,14 @@ class LeafBst(OrderedQueries):
             gpupdate = None
             if gp is not None:
                 gpupdate = gp.update.read()
-                if (gp.left if key < gp.key else gp.right).read() is not p:
+                k = gp.key              # _below(key, gp), inline
+                if (gp.left if k is INF1 or k is INF2 or key < k
+                        else gp.right).read() is not p:
                     continue
             pupdate = p.update.read()
-            if (p.left if key < p.key else p.right).read() is l:
+            k = p.key                   # _below(key, p), inline
+            if (p.left if k is INF1 or k is INF2 or key < k
+                    else p.right).read() is l:
                 return gp, p, l, pupdate, gpupdate
 
     def find(self, key) -> bool:
@@ -205,7 +249,7 @@ class LeafBst(OrderedQueries):
             self._help_delete(info)
 
     def _cas_child(self, parent, old, new) -> bool:
-        cell = parent.left if old.key < parent.key else parent.right
+        cell = parent.left if _below(old.key, parent) else parent.right
         return cell.cas(old, new)
 
     # -- insert ------------------------------------------------------------------
@@ -221,7 +265,7 @@ class LeafBst(OrderedQueries):
                     self._help(pupdate)
                     continue
                 new_leaf, sib = BstLeaf(key), BstLeaf(l.key)
-                if key < l.key:
+                if _below(key, l):
                     ni = self._internal(l.key, new_leaf, sib)
                 else:
                     ni = self._internal(key, sib, new_leaf)
@@ -271,7 +315,7 @@ class LeafBst(OrderedQueries):
 
     def _help_marked(self, op: DInfo) -> None:
         p, l = op.p, op.l
-        other = p.right if l.key < p.key else p.left
+        other = p.right if _below(l.key, p) else p.left
         sibling = other.read()
         publish = self._frozen_copy(op, sibling) if self.mode == "direct" else sibling
         if self._cas_child(op.gp, p, publish):
@@ -339,8 +383,11 @@ class LeafBst(OrderedQueries):
                 node = cell.read_snapshot(h)
 
     def multisearch(self, keys) -> dict:
+        found = self._user_keys(keys)
         with self.epoch.query(self.camera) as h:
-            return {k: self._descend(k, h)[2].key == k for k in keys}
+            for k in found:
+                found[k] = self._descend(k, h)[2].key == k
+        return found
 
     def height(self) -> int:
         """Longest path through the key-bearing part of the tree at the cut:

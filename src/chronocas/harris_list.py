@@ -136,7 +136,7 @@ class HarrisList(OrderedQueries):
             node = self.get_next(node, h)
 
     def multisearch(self, keys) -> dict:
-        found = dict.fromkeys(keys, False)
+        found = self._user_keys(keys)
         if found:
             with self.epoch.query(self.camera) as h:
                 for k in self._keys(h, min(found), max(found)):

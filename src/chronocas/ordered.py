@@ -56,6 +56,15 @@ class OrderedQueries:
         if isinstance(key, Bound):
             raise ValueError("bound keys are reserved for sentinels")
 
+    @classmethod
+    def _user_keys(cls, keys) -> dict:
+        """``multisearch``'s answer table: each of ``keys`` once, mapped to
+        False, every one checked before the caller pins."""
+        found = dict.fromkeys(keys, False)
+        for k in found:
+            cls._check_key(k)
+        return found
+
     def range_query(self, start, end) -> list:
         _check_interval(start, end)
         with self.epoch.query(self.camera) as h:

@@ -25,8 +25,10 @@ stamped at or below the handle returns the head's value without walking,
 unless the gate is armed (see :mod:`chronocas._gate`).
 
 :class:`~chronocas.bst.LeafBst` inlines two branches of
-:class:`VersionedPointer` in its indirect descents: ``read``'s stamped-head
-case and ``read_snapshot``'s no-walk case.  A change to either branch must
+:class:`VersionedPointer` in its indirect descents with the gate unarmed:
+``read``'s stamped-head case and ``read_snapshot``'s no-walk case, one
+head load and one timestamp test per level of a loop that otherwise only
+tests for a leaf and compares user keys.  A change to either branch must
 update both.
 
 A handle older than the cell's first record is rejected before any walk,
@@ -123,7 +125,8 @@ class VersionedPointer:
         self._log = instrument.VersionLog(first) if instrument.ENABLED else None
 
     def read(self):
-        # LeafBst._descend inlines the unarmed, stamped-head case.
+        # LeafBst._descend inlines the unarmed, stamped-head case: its
+        # unarmed loop loads the head and calls this only for a TBD one.
         armed = _gate.armed
         if armed:
             _gate.step()
@@ -157,8 +160,8 @@ class VersionedPointer:
         """The value this cell held at ``handle``.  A head stamped at or
         below the handle is that value, returned without a walk (0 hops; the
         floor check holds, as handle >= head.ts >= floor) unless the gate is
-        armed; a TBD head walks too.  LeafBst._keys and LeafBst.height
-        inline the no-walk case."""
+        armed; a TBD head walks too.  LeafBst's descents (multisearch),
+        _keys and height inline the no-walk case."""
         head = self._head
         if head.ts <= handle and not _gate.armed:
             return head.val

@@ -9,6 +9,7 @@ from chronocas.oracle import SeqLeafBst, SeqOrderedSet
 from chronocas._gate import StepCounter
 from chronocas.atomic import AtomicCell
 from chronocas.bst import INF1, INF2, BstInternal
+from chronocas.ordered import Bound
 
 from armed import ARMED_BY
 
@@ -310,10 +311,11 @@ def test_search_restarts_when_the_leaf_moved_after_the_descent():
 
 @pytest.mark.parametrize("mode", list(ARMED_BY))
 def test_unarmed_descents_follow_stamped_heads_without_a_call(monkeypatch, mode):
-    """On a stamped indirect tree with the gate unarmed, find, the ordered
-    walk and height follow every child cell inline.  Once instrumentation,
-    poisoning or a step counter arms the gate, they call the cell method for
-    every cell: find reads each cell on its path, the walk calls
+    """On a stamped indirect tree with the gate unarmed, find, multisearch,
+    the ordered walk and height follow every child cell inline.  Once
+    instrumentation, poisoning or a step counter arms the gate, they call
+    the cell method for every cell: find reads each cell on its path,
+    multisearch calls read_snapshot once for each, the walk calls
     read_snapshot 2N times for N keys (N internals and N + 1 leaves below
     the root, less the pruned top sentinel leaf), and height 2N + 2 times
     (every cell, the root's two included).  Instrumented, each of those
@@ -332,7 +334,9 @@ def test_unarmed_descents_follow_stamped_heads_without_a_call(monkeypatch, mode)
             calls.append(_name)
             return _method(cell, *args)
         monkeypatch.setattr(VersionedCas, name, counted)
+    answers = dict(zip(probes, found))
     assert [t.find(k) for k in probes] == found
+    assert t.multisearch(probes) == answers
     assert t.range_query(0, 999) == keys
     height = t.height()
     assert calls == []
@@ -341,6 +345,10 @@ def test_unarmed_descents_follow_stamped_heads_without_a_call(monkeypatch, mode)
         assert [t.find(k) for k in probes] == found
         assert calls == ["read"] * path_reads
         calls.clear()
+        assert t.multisearch(probes) == answers
+        assert calls == ["read_snapshot"] * path_reads
+        calls.clear()
+        instrument.reset()
         assert t.range_query(0, 999) == keys
         assert calls == ["read_snapshot"] * (2 * len(keys))
         if mode == "instrument":
@@ -348,6 +356,39 @@ def test_unarmed_descents_follow_stamped_heads_without_a_call(monkeypatch, mode)
         calls.clear()
         assert t.height() == height
         assert calls == ["read_snapshot"] * (2 * len(keys) + 2)
+
+
+@pytest.mark.parametrize("mode", ["indirect", "direct", "plain"])
+def test_user_key_operations_compare_no_bound(monkeypatch, mode):
+    """A user key sorts below both sentinels, so find, insert, delete and
+    multisearch pass the sentinel levels without comparing a bound (a
+    Bound comparison is a Python call).  Emptying the tree and refilling it
+    walks the root's left child through the INF1 leaf and back."""
+    compared = []
+    for name in ("__lt__", "__gt__", "__le__", "__ge__"):
+        def counted(bound, other, _name=name, _method=getattr(Bound, name)):
+            compared.append(_name)
+            return _method(bound, other)
+        monkeypatch.setattr(Bound, name, counted)
+    rng = random.Random(17)
+    t, ref = LeafBst(mode=mode), SeqOrderedSet()
+    keys = rng.sample(range(300), 80)
+
+    def run(op, *args):
+        assert getattr(t, op)(*args) == ref.step((op, *args))
+
+    for _ in range(2):
+        for k in keys:
+            run("insert", k)
+        for k in rng.sample(range(-5, 305), 120):
+            run(rng.choice(("find", "insert", "delete")), k)
+        run("multisearch", rng.sample(range(-5, 305), 40))
+        for k in rng.sample(range(-5, 305), 310):
+            run("delete", k)
+            run("find", k)
+        run("multisearch", keys[:3] + [-1, 400])
+        assert compared == []
+    assert t.range_query(0, 300) == []
 
 
 def test_recorded_once_holds_across_workload():

@@ -47,14 +47,18 @@ def test_range_and_multisearch_and_ith():
                          ids=["list", "bst"])
 def test_bound_keys_rejected(make, lookup):
     """No operation takes a sentinel's key: a delete of the list's POS_INF
-    would unlink its tail, and an insert of NEG_INF would show as a key."""
+    would unlink its tail, and an insert of NEG_INF would show as a key.
+    multisearch checks every key before it takes its snapshot."""
     s = make()
     for k in (1, 5, 9):
         s.insert(k)
+    cut = s.camera.peek_timestamp()
     for bound in (NEG_INF, POS_INF, INF1, INF2):
-        for op in (s.insert, s.delete, getattr(s, lookup)):
+        for op in (s.insert, s.delete, getattr(s, lookup),
+                   lambda b: s.multisearch([3, b])):
             with pytest.raises(ValueError):
                 op(bound)
+    assert s.camera.peek_timestamp() == cut
     assert s.range_query(0, 10) == [1, 5, 9]
     assert s.ith(1) == 1 and s.ith(4) is None
     assert s.insert(3) and s.delete(9) and getattr(s, lookup)(5)
