@@ -32,8 +32,8 @@ between operations, so an operation may read :data:`armed` once and keep it.
 The fast paths that do: the snapshot walk and the 0-hop return of
 ``VersionedPointer.read_snapshot``; ``LeafBst``'s ordered walk and
 ``height``, which take a stamped child head inline, and its descent
-(``find``, ``multisearch``, the update search), whose unarmed loop does
-only that step, a leaf test and a user-key comparison per level; and
+(``find``, ``multisearch``, the update search), which takes that step
+below the two sentinel levels it passes without a comparison; and
 ``MsQueue``'s query walks (``peek_endpoints``, ``ith``, ``scan``), which
 load each next link inline.
 

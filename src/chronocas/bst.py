@@ -49,7 +49,7 @@ def _below(key, node) -> bool:
     """``key < node.key`` for a key an operation routes: a user key, or the
     INF1 key of the root's left child.  A sentinel's bound sorts above
     every such key, so it is answered without a comparison (a ``Bound``
-    comparison is a Python call).  ``LeafBst._search`` inlines it."""
+    comparison is a Python call)."""
     k = node.key
     return k is INF1 or k is INF2 or key < k
 
@@ -165,35 +165,30 @@ class LeafBst(OrderedQueries):
         ``key`` is a user key, and ``root.left`` is either the INF1 leaf
         (the set is empty) or the INF1 node, whose right child is always
         the INF1 leaf; so the walk reads ``root.left``, then the INF1
-        node's ``left``, and compares no bound.  Two loops take that path,
-        so that no level tests which of them it is in.  Unarmed in the
-        indirect build, a level tests for a leaf, compares ``key`` and takes
-        the child's stamped head inline; otherwise it calls the cell's
-        method, with the gated steps that takes."""
+        node's ``left``, and compares no bound.  Below that, a level tests
+        for a leaf, compares ``key`` and reads the child cell: unarmed in
+        the indirect build it takes a stamped head inline, otherwise it
+        calls the cell's method, with the gated steps that takes.  Armed,
+        the INF1 node, whose key the walk skips, is checked live."""
+        armed = _gate.armed
+        inline = self._inline and not armed
+        newest = TBD - 1 if h is None else h
         root = self._root
         cell = root.left
-        if self._inline and not _gate.armed:
-            newest = TBD - 1 if h is None else h
-            head = cell._head
-            p = head.val if head.ts <= newest else (
-                cell.read() if h is None else cell.read_snapshot(h))
-            if not isinstance(p, BstInternal):      # the INF1 leaf
-                return None, root, p
-            gp, cell = root, p.left
-            while True:
-                head = cell._head
-                node = head.val if head.ts <= newest else (
-                    cell.read() if h is None else cell.read_snapshot(h))
-                if not isinstance(node, BstInternal):
-                    return gp, p, node
-                gp, p = p, node
-                cell = node.left if key < node.key else node.right
-        p = cell.read() if h is None else cell.read_snapshot(h)
-        if not isinstance(p, BstInternal):
+        if inline and (head := cell._head).ts <= newest:
+            p = head.val
+        else:
+            p = cell.read() if h is None else cell.read_snapshot(h)
+        if not isinstance(p, BstInternal):          # the INF1 leaf
             return None, root, p
+        if armed:
+            reclaim.check_live(p)
         gp, cell = root, p.left
         while True:
-            node = cell.read() if h is None else cell.read_snapshot(h)
+            if inline and (head := cell._head).ts <= newest:
+                node = head.val
+            else:
+                node = cell.read() if h is None else cell.read_snapshot(h)
             if not isinstance(node, BstInternal):
                 return gp, p, node
             gp, p = p, node
@@ -222,14 +217,10 @@ class LeafBst(OrderedQueries):
             gpupdate = None
             if gp is not None:
                 gpupdate = gp.update.read()
-                k = gp.key              # _below(key, gp), inline
-                if (gp.left if k is INF1 or k is INF2 or key < k
-                        else gp.right).read() is not p:
+                if (gp.left if _below(key, gp) else gp.right).read() is not p:
                     continue
             pupdate = p.update.read()
-            k = p.key                   # _below(key, p), inline
-            if (p.left if k is INF1 or k is INF2 or key < k
-                    else p.right).read() is l:
+            if (p.left if _below(key, p) else p.right).read() is l:
                 return gp, p, l, pupdate, gpupdate
 
     def find(self, key) -> bool:

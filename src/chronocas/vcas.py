@@ -27,8 +27,7 @@ unless the gate is armed (see :mod:`chronocas._gate`).
 :class:`~chronocas.bst.LeafBst` inlines two branches of
 :class:`VersionedPointer` in its indirect descents with the gate unarmed:
 ``read``'s stamped-head case and ``read_snapshot``'s no-walk case, one
-head load and one timestamp test per level of a loop that otherwise only
-tests for a leaf and compares user keys.  A change to either branch must
+head load and one timestamp test per level.  A change to either branch must
 update both.
 
 A handle older than the cell's first record is rejected before any walk,
@@ -125,8 +124,9 @@ class VersionedPointer:
         self._log = instrument.VersionLog(first) if instrument.ENABLED else None
 
     def read(self):
-        # LeafBst._descend inlines the unarmed, stamped-head case: its
-        # unarmed loop loads the head and calls this only for a TBD one.
+        # LeafBst._descend inlines the unarmed, stamped-head case: unarmed
+        # in the indirect build it loads the head and calls this only for a
+        # TBD one.
         armed = _gate.armed
         if armed:
             _gate.step()

@@ -92,7 +92,8 @@ def test_height_convention():
 
 def test_height_traps_a_poisoned_internal_node():
     """height checks each node it visits, as _keys does: a freed internal
-    node still linked traps rather than read as a live subtree."""
+    node still linked traps rather than read as a live subtree.  So do the
+    descents at the INF1 node, whose key they pass without reading."""
     reclaim.enable_poisoning(True)
     t = LeafBst()
     for k in (5, 3, 8):
@@ -102,6 +103,9 @@ def test_height_traps_a_poisoned_internal_node():
     inner._poison()
     with pytest.raises(PoisonedReadError):
         t.height()
+    for op in (t.find, t.insert, t.delete, lambda k: t.multisearch([k])):
+        with pytest.raises(PoisonedReadError):
+            op(4)
 
 
 def _drive(tree, ref, seed, steps):
