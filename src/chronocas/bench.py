@@ -325,8 +325,8 @@ def stress(config: WorkloadConfig, windows: int, ops_per_window: int = 3,
     """Quiesce, checkpoint the abstract state, record a burst of concurrent
     operations, and check the window against the sequential spec."""
     config.validate()
-    if config.threads > 8:
-        raise ConfigError("stress runs at <= 8 threads")
+    if config.threads > 8 or windows < 1:
+        raise ConfigError("stress runs >= 1 window and <= 8 threads")
     structure = build_structure(config.structure)
     _prefill(structure, config)
     # fine-grained preemption so the recorded windows actually interleave

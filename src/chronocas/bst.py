@@ -7,9 +7,9 @@ child pointers it will change, performs the single child-pointer swing that
 linearizes it, then unflags.  Any thread meeting a flag helps that operation
 first, so updates are lock-free.
 
-Child pointers are versioned cells; the update (flag) word is a plain
-:class:`AtomicCell` because queries only ever read key/left/right, so its
-history is never needed.  Three builds share the code:
+Child pointers are versioned cells; the update (flag) word is the internal
+node's own unversioned word, because queries only ever read key/left/right,
+so its history is never needed.  Three builds share the code:
 
 * ``indirect`` - child cells are VersionedCas (the default);
 * ``direct``   - child cells are DirectVersionedCas; nodes embed their
@@ -26,7 +26,7 @@ depth two or more, so a deletable leaf always has a grandparent.
 from __future__ import annotations
 
 from . import _gate, reclaim
-from .atomic import AtomicCell, PlainCell
+from .atomic import AtomicCell, PlainCell, _next_stripe
 from .camera import TBD, Camera
 from .ordered import Bound, OrderedQueries
 from .reclaim import EpochManager
@@ -34,7 +34,6 @@ from .vcas import VersionedCas
 from .vcas_direct import DirectVersionedCas, Versionable
 
 CLEAN, IFLAG, DFLAG, MARK = 0, 1, 2, 3
-
 # The update word of every new internal node; words compare by value.
 _FRESH = (CLEAN, None)
 
@@ -67,18 +66,23 @@ class BstLeaf(Versionable):
 
 
 class BstInternal(Versionable):
-    __slots__ = ("key", "left", "right", "update")
+    """An internal node; ``_value``, under ``_lock``, is its update word."""
 
-    def __init__(self, key, left_cell, right_cell, update_cell) -> None:
+    __slots__ = ("key", "left", "right", "_value", "_lock")
+    read_update = AtomicCell.read
+    cas_update = AtomicCell.cas
+
+    def __init__(self, key, left_cell, right_cell) -> None:
         super().__init__()
         self.key = key
         self.left = left_cell
         self.right = right_cell
-        self.update = update_cell
+        self._value = _FRESH
+        self._lock = _next_stripe()
 
     def _free(self) -> None:
         Versionable._free(self)
-        self.left = self.right = self.update = None
+        self.left = self.right = self._value = None
 
     def _poison(self) -> None:
         Versionable._poison(self)
@@ -136,8 +140,7 @@ class LeafBst(OrderedQueries):
         return PlainCell(value)
 
     def _internal(self, key, left_node, right_node) -> BstInternal:
-        return BstInternal(key, self._cell(left_node), self._cell(right_node),
-                           AtomicCell(_FRESH))
+        return BstInternal(key, self._cell(left_node), self._cell(right_node))
 
     # -- search ------------------------------------------------------------------
     #
@@ -205,8 +208,8 @@ class LeafBst(OrderedQueries):
         record, so a flag CAS that expects ``pupdate`` succeeds only if
         ``p``'s child was still ``l`` in between.  The upper update words are
         dead reads.  So the search descends by child cells alone, then reads
-        ``gp.update`` and re-reads ``gp``'s child, then ``p.update`` and
-        ``p``'s child, and restarts if a re-read names another node.  A node
+        ``gp``'s update word and re-reads ``gp``'s child, then does the same
+        at ``p``, and restarts if a re-read names another node.  A node
         is never relinked once unlinked (a deletion swings in the sibling, or
         in the direct build a fresh copy), so an identity check cannot pass
         on a node that left the path and came back (no ABA).  A restart
@@ -216,10 +219,10 @@ class LeafBst(OrderedQueries):
             gp, p, l = self._descend(key)
             gpupdate = None
             if gp is not None:
-                gpupdate = gp.update.read()
+                gpupdate = gp.read_update()
                 if (gp.left if _below(key, gp) else gp.right).read() is not p:
                     continue
-            pupdate = p.update.read()
+            pupdate = p.read_update()
             if (p.left if _below(key, p) else p.right).read() is l:
                 return gp, p, l, pupdate, gpupdate
 
@@ -261,15 +264,15 @@ class LeafBst(OrderedQueries):
                 else:
                     ni = self._internal(key, sib, new_leaf)
                 op = IInfo(p, l, ni)
-                if p.update.cas(pupdate, (IFLAG, op)):
+                if p.cas_update(pupdate, (IFLAG, op)):
                     self._help_insert(op)
                     return True
-                self._help(p.update.read())
+                self._help(p.read_update())
 
     def _help_insert(self, op: IInfo) -> None:
         if self._cas_child(op.p, op.l, op.new_internal):
             self.epoch.retire(op.l)
-        if op.p.update.cas((IFLAG, op), (CLEAN, op)):
+        if op.p.cas_update((IFLAG, op), (CLEAN, op)):
             self.epoch.retire(op)
 
     # -- delete ------------------------------------------------------------------
@@ -289,18 +292,18 @@ class LeafBst(OrderedQueries):
                     self._help(pupdate)
                     continue
                 op = DInfo(gp, p, l, pupdate)
-                if gp.update.cas(gpupdate, (DFLAG, op)):
+                if gp.cas_update(gpupdate, (DFLAG, op)):
                     if self._help_delete(op):
                         return True
                 else:
-                    self._help(gp.update.read())
+                    self._help(gp.read_update())
 
     def _help_delete(self, op: DInfo) -> bool:
-        if (op.p.update.cas(op.pupdate, (MARK, op))
-                or op.p.update.read() == (MARK, op)):
+        if (op.p.cas_update(op.pupdate, (MARK, op))
+                or op.p.read_update() == (MARK, op)):
             self._help_marked(op)
             return True
-        if op.gp.update.cas((DFLAG, op), (CLEAN, op)):
+        if op.gp.cas_update((DFLAG, op), (CLEAN, op)):
             self.epoch.retire(op)
         return False
 
@@ -314,7 +317,7 @@ class LeafBst(OrderedQueries):
             self.epoch.retire(l)
             if self.mode == "direct":
                 self.epoch.retire(sibling)
-        if op.gp.update.cas((DFLAG, op), (CLEAN, op)):
+        if op.gp.cas_update((DFLAG, op), (CLEAN, op)):
             self.epoch.retire(op)
 
     def _frozen_copy(self, op: DInfo, sibling):
@@ -325,13 +328,13 @@ class LeafBst(OrderedQueries):
         if isinstance(sibling, BstLeaf):
             return BstLeaf(sibling.key)
         while True:
-            su = sibling.update.read()
+            su = sibling.read_update()
             if su[0] == MARK:
                 if su[1] is not op:
                     raise RuntimeError("sibling marked by a foreign operation")
                 break
             if su[0] == CLEAN:
-                if sibling.update.cas(su, (MARK, op)):
+                if sibling.cas_update(su, (MARK, op)):
                     break
                 continue
             self._help(su)

@@ -1,11 +1,11 @@
 """Harris sorted linked list with atomic multi-point queries.
 
-Each node's next field is one versioned cell holding a (link, marked) pair;
-marking a node is a versioned CAS from (link, False) to (link, True), so the
-history can reconstruct logical-deletion timing.  A deletion linearizes at
-the marking CAS; queries resolve every next field at their snapshot cut and
-skip any node whose own next is marked at that cut, even if the physical
-unlink happened later.
+Each node is its own next field, one versioned cell holding a (link, marked)
+pair; marking a node is a versioned CAS from (link, False) to (link, True),
+so the history can reconstruct logical-deletion timing.  A deletion
+linearizes at the marking CAS; queries resolve every next field at their
+snapshot cut and skip any node whose own next is marked at that cut, even if
+the physical unlink happened later.
 
 Sentinel nodes bound the list below and above every key; they are never
 marked or removed, and no operation takes their keys.
@@ -20,12 +20,12 @@ from .reclaim import EpochManager
 from .vcas import VersionedCas
 
 
-class ListNode:
-    __slots__ = ("key", "next", "_poisoned")
+class ListNode(VersionedCas):
+    __slots__ = ("key", "_poisoned")
 
-    def __init__(self, key) -> None:
+    def __init__(self, key, link, camera: Camera, epoch: EpochManager) -> None:
+        super().__init__((link, False), camera, epoch)
         self.key = key
-        self.next = None
         self._poisoned = False
 
     def _poison(self) -> None:
@@ -38,10 +38,8 @@ class HarrisList(OrderedQueries):
                  epoch: EpochManager | None = None) -> None:
         self.camera = camera or Camera()
         self.epoch = epoch or EpochManager()
-        self.tail = ListNode(POS_INF)
-        self.tail.next = VersionedCas((None, False), self.camera, self.epoch)
-        self.head = ListNode(NEG_INF)
-        self.head.next = VersionedCas((self.tail, False), self.camera, self.epoch)
+        self.tail = ListNode(POS_INF, None, self.camera, self.epoch)
+        self.head = ListNode(NEG_INF, self.tail, self.camera, self.epoch)
 
     # -- internal search with physical cleanup ----------------------------------
 
@@ -51,13 +49,13 @@ class HarrisList(OrderedQueries):
         armed = _gate.armed
         while True:
             pred = self.head
-            curr = pred.next.read()[0]
+            curr = pred.read()[0]
             while True:
                 if armed:
                     reclaim.check_live(curr)
-                succ, cmark = curr.next.read()
+                succ, cmark = curr.read()
                 if cmark:
-                    if not pred.next.cas((curr, False), (succ, False)):
+                    if not pred.cas((curr, False), (succ, False)):
                         break   # restart from the head
                     self.epoch.retire(curr)
                     curr = succ
@@ -75,9 +73,8 @@ class HarrisList(OrderedQueries):
                 pred, curr = self._find(key)
                 if curr.key == key:
                     return False
-                node = ListNode(key)
-                node.next = VersionedCas((curr, False), self.camera, self.epoch)
-                if pred.next.cas((curr, False), (node, False)):
+                node = ListNode(key, curr, self.camera, self.epoch)
+                if pred.cas((curr, False), (node, False)):
                     return True
 
     def delete(self, key) -> bool:
@@ -87,11 +84,11 @@ class HarrisList(OrderedQueries):
                 pred, curr = self._find(key)
                 if curr.key != key:
                     return False
-                succ, marked = curr.next.read()
+                succ, marked = curr.read()
                 if marked:
                     continue
-                if curr.next.cas((succ, False), (succ, True)):
-                    if pred.next.cas((curr, False), (succ, False)):
+                if curr.cas((succ, False), (succ, True)):
+                    if pred.cas((curr, False), (succ, False)):
                         self.epoch.retire(curr)
                     else:
                         self._find(key)   # leave cleanup to a fresh search
@@ -100,27 +97,27 @@ class HarrisList(OrderedQueries):
     def contains(self, key) -> bool:
         self._check_key(key)
         with self.epoch.maybe_pinned():
-            curr = self.head.next.read()[0]
+            curr = self.head.read()[0]
             armed = _gate.armed
             while curr.key < key:
                 if armed:
                     reclaim.check_live(curr)
-                curr = curr.next.read()[0]
+                curr = curr.read()[0]
             if curr.key != key:
                 return False
-            return not curr.next.read()[1]
+            return not curr.read()[1]
 
     # -- snapshot queries ----------------------------------------------------------
 
     def get_next(self, node: ListNode, handle: int):
         """First successor of ``node`` at the cut whose own next is unmarked;
         skips logically deleted nodes.  Returns None past the high sentinel."""
-        n = node.next.read_snapshot(handle)[0]
+        n = node.read_snapshot(handle)[0]
         armed = _gate.armed
         while n is not None:
             if armed:
                 reclaim.check_live(n)
-            link, marked = n.next.read_snapshot(handle)
+            link, marked = n.read_snapshot(handle)
             if not marked:
                 break
             n = link

@@ -13,18 +13,18 @@ record keeps alive.  A version record (an indirect ``VNode`` or a direct
 ``Versionable`` node, both ``vcas.VersionRecord``) cuts its version link to
 ``INVALID_NEXTV``, the one value that ends a version list early, and drops
 what it carries: a ``VNode`` its value, a BST internal node its child cells
-and update word.  Each cell's version list then holds at most its head, its
-displaced records not yet freed and one freed record that ends it and holds
-nothing, so nothing else stays reachable through it.  A BST info record
-drops its node references.  With poisoning on, a record that a walk can
-reach (a version record, a structure node) runs ``_poison`` instead: it is
-stamped with a trap pattern (its link included) and any later algorithm
-read of it raises :class:`PoisonedReadError`.  A record with no ``_poison``
-(a BST info record, which no walk reaches) is freed as usual, so poisoning
-never keeps more alive than freeing.  The stress suites assert that the
-trap never fires.  Poisoning arms the gate, so every operation takes the
-checked path, and each walk and each queue query runs :func:`check_live`
-on every record whose fields it reads.
+and the value of its own update word.  Each cell's version list then holds
+at most its head, its displaced records not yet freed and one freed record
+that ends it and holds nothing, so nothing else stays reachable through it.
+A BST info record drops its node references.  With poisoning on, a record
+that a walk can reach (a version record, a structure node) runs ``_poison``
+instead: it is stamped with a trap pattern (its link included) and any later
+algorithm read of it raises :class:`PoisonedReadError`.  A record with no
+``_poison`` (a BST info record, which no walk reaches) is freed as usual, so
+poisoning never keeps more alive than freeing.  The stress suites assert
+that the trap never fires.  Poisoning arms the gate, so every operation
+takes the checked path, and each walk and each queue query runs
+:func:`check_live` on every record whose fields it reads.
 
 Freeing is safe by the epoch argument below.  A displaced version is
 retired only after its successor is stamped, pinned or not:

@@ -121,6 +121,16 @@ def test_cli_stress_mode(capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("windows", ["0", "-5"])
+def test_cli_stress_rejects_a_run_without_windows(capsys, windows):
+    """A stress run of no window checks nothing: it must not pass."""
+    rc = main(["--structure", "list", "--prefill", "1", "--threads", "1",
+               "--stress", "--windows", windows])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == "" and "window" in captured.err
+
+
 class _OneFailingFind(LeafBst):
     """Raises from the 20th find; every other operation works."""
 

@@ -7,7 +7,6 @@ from chronocas import (TBD, LeafBst, PoisonedReadError, VersionedCas,
 from chronocas.bench import WorkloadConfig, stress
 from chronocas.oracle import SeqLeafBst, SeqOrderedSet
 from chronocas._gate import StepCounter
-from chronocas.atomic import AtomicCell
 from chronocas.bst import INF1, INF2, BstInternal
 from chronocas.ordered import Bound
 
@@ -185,25 +184,26 @@ def test_direct_indirect_identical_query_outputs():
     assert transcript("indirect") == transcript("direct")
 
 
-def test_queries_never_touch_update_words():
-    class CountingCell(AtomicCell):
-        __slots__ = ()
-        reads = 0
+def test_queries_never_touch_update_words(monkeypatch):
+    """No query reads or swaps an update word; updates do.  Both accesses
+    are counted on every internal node, through the class."""
+    accesses = []
 
-        def read(self):
-            CountingCell.reads += 1
-            return super().read()
+    def counted(name):
+        access = getattr(BstInternal, name)
 
+        def counting(node, *args):
+            accesses.append(name)
+            return access(node, *args)
+        monkeypatch.setattr(BstInternal, name, counting)
+
+    counted("read_update")
+    counted("cas_update")
     t = LeafBst()
     rng = random.Random(5)
     for _ in range(300):
         t.insert(rng.randint(0, 500))
-    stack = [t._root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, BstInternal):
-            node.update = CountingCell(node.update.read())
-            stack += [node.left.read(), node.right.read()]
+    accesses.clear()
     t.range_query(0, 500)
     t.range_sum(10, 90)
     t.succ(50, 10)
@@ -211,12 +211,12 @@ def test_queries_never_touch_update_words():
     t.multisearch([1, 2, 3])
     t.height()
     t.find(250)
-    assert CountingCell.reads == 0
-    t.insert(250)                   # positive control: updates read them
-    assert CountingCell.reads > 0
-    CountingCell.reads = 0
+    assert accesses == []
+    t.insert(250)                   # positive control: updates use them
+    assert {"read_update", "cas_update"} <= set(accesses)
+    accesses.clear()
     t.delete(250)
-    assert CountingCell.reads > 0
+    assert {"read_update", "cas_update"} <= set(accesses)
 
 
 @pytest.mark.parametrize("mode", ["indirect", "direct"])
@@ -284,29 +284,27 @@ def test_tbd_heads_on_the_path_are_helped_by_find_and_updates():
     assert t.range_query(0, 1000) == ref.step(("range", 0, 1000))
 
 
-def test_search_restarts_when_the_leaf_moved_after_the_descent():
+def test_search_restarts_when_the_leaf_moved_after_the_descent(monkeypatch):
     """An insert that lands under p between the descent and the read of
-    p.update swings p's child away from l.  The re-read of that child must
-    see it and restart the search: a flag CAS against the update word read
-    after that insert would succeed, and the outer insert's swing from the
-    stale l would fail, returning True for a key that is missing."""
+    p's update word swings p's child away from l.  The re-read of that child
+    must see it and restart the search: a flag CAS against the update word
+    read after that insert would succeed, and the outer insert's swing from
+    the stale l would fail, returning True for a key that is missing."""
     t, ref = LeafBst(), SeqOrderedSet()
     for k in (10, 20, 30, 40):
         assert t.insert(k) == ref.step(("insert", k))
     nested = []
+    read_update = BstInternal.read_update
 
-    class InsertsOnFirstRead(AtomicCell):
-        __slots__ = ()
-
-        def read(self):
-            if not nested:
-                nested.append(26)
-                assert t.insert(26) == ref.step(("insert", 26))
-            return super().read()
+    def inserts_on_first_read_of_p(node):
+        if node is p and not nested:
+            nested.append(26)
+            assert t.insert(26) == ref.step(("insert", 26))
+        return read_update(node)
 
     _, p, l = t._descend(25)
     assert t._descend(26)[2] is l                 # 26 lands on the same leaf
-    p.update = InsertsOnFirstRead(p.update.read())
+    monkeypatch.setattr(BstInternal, "read_update", inserts_on_first_read_of_p)
     assert t.insert(25) == ref.step(("insert", 25)) is True
     assert nested == [26]
     assert t.find(25) and t.find(26)

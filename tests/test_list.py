@@ -66,9 +66,9 @@ def test_bound_keys_rejected(make, lookup):
 
 
 def _node_with_key(l, key):
-    node = l.head.next.read()[0]
+    node = l.head.read()[0]
     while node.key < key:
-        node = node.next.read()[0]
+        node = node.read()[0]
     assert node.key == key
     return node
 
@@ -80,9 +80,9 @@ def test_get_next_skips_marked_at_cut():
     for k in (1, 2, 3):
         l.insert(k)
     n1, n2 = _node_with_key(l, 1), _node_with_key(l, 2)
-    succ, marked = n2.next.read()
+    succ, marked = n2.read()
     assert not marked
-    assert n2.next.cas((succ, False), (succ, True))   # mark without unlinking
+    assert n2.cas((succ, False), (succ, True))   # mark without unlinking
     with l.epoch.query(l.camera) as h:
         assert l.get_next(n1, h).key == 3
 
@@ -102,8 +102,8 @@ def test_get_next_all_marked_reaches_sentinel():
         l.insert(k)
     for k in (2, 3):
         node = _node_with_key(l, k)
-        succ, m = node.next.read()
-        assert node.next.cas((succ, False), (succ, True))
+        succ, m = node.read()
+        assert node.cas((succ, False), (succ, True))
     n1 = _node_with_key(l, 1)
     with l.epoch.query(l.camera) as h:
         assert l.get_next(n1, h) is l.tail

@@ -178,7 +178,7 @@ def test_freed_records_keep_nothing_alive(case):
         freed = isinstance(obj, VersionRecord) and _freed(obj)
         # a direct node's ``val`` is the node itself, which holds nothing
         if freed and any(getattr(obj, name, None) not in (None, obj)
-                         for name in ("val", "left", "right", "update")):
+                         for name in ("val", "left", "right", "_value")):
             holders.append(obj)
         if type(obj) in reached and not freed:
             reached[type(obj)] += 1
@@ -209,18 +209,56 @@ def test_bytes_per_key_bounded(mode):
     assert size / len(keys) < BYTES_PER_KEY[mode], size / len(keys)
 
 
+def _traced_bytes_per_key(build, n: int) -> float:
+    """Traced bytes per key after ``n`` random inserts into ``build()``, key
+    list included."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rng = random.Random(1)
+        keys = [rng.randrange(1 << 30) for _ in range(n)]
+        structure = build()
+        for k in keys:
+            structure.insert(k)
+        gc.collect()
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return size / n
+
+
+# Each build with its key count and a bound set between a node paired with a
+# separate cell word (a tree's update word, a list node's next cell: about
+# 683 / 562 / 427 / 332) and a node that is its own word (about 643 / 522 /
+# 387 / 292).  The list, whose inserts walk it, takes fewer keys.
+OWN_WORD_BYTES_PER_KEY = {
+    "indirect": (lambda: LeafBst(mode="indirect"), 10_000, 663),
+    "direct": (lambda: LeafBst(mode="direct"), 10_000, 542),
+    "plain": (lambda: LeafBst(mode="plain"), 10_000, 407),
+    "list": (HarrisList, 5_000, 312),
+}
+
+
+@pytest.mark.parametrize("build", list(OWN_WORD_BYTES_PER_KEY))
+def test_a_node_is_its_own_cell_word(build):
+    factory, n, bound = OWN_WORD_BYTES_PER_KEY[build]
+    per_key = _traced_bytes_per_key(factory, n)
+    assert per_key < bound, per_key
+
+
 @pytest.mark.parametrize("mode", ["indirect", "direct", "plain"])
 def test_cells_share_one_lock_table(mode):
     """Every cell word takes its lock from one fixed table, so a 2,000-key
-    tree (about 6,000 cell words) references at most 256 locks."""
+    tree (about 6,000 cell words: two child cells per internal node and the
+    node itself, its own update word) references at most 256 locks."""
     rng = random.Random(2)
     tree = LeafBst(mode=mode)
     for k in rng.sample(range(100_000), 2_000):
         tree.insert(k)
-    cells = [obj for obj in _objects(tree)
-             if isinstance(obj, (AtomicCell, VersionedPointer))]
-    assert len(cells) > 6_000
-    assert len({id(cell._lock) for cell in cells}) <= 256
+    words = [obj for obj in _objects(tree)
+             if isinstance(obj, (AtomicCell, VersionedPointer, BstInternal))]
+    assert len(words) > 6_000
+    assert len({id(word._lock) for word in words}) <= 256
 
 
 # Traced bytes per element after 10k enqueues, keys included; set between a

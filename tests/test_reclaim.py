@@ -335,7 +335,7 @@ def test_poisoning_frees_a_record_without_a_poison_hook(poisoning):
     poisoning frees it as usual: a swept ``IInfo`` drops its nodes."""
     tree = LeafBst(epoch=EpochManager(advance_every=0))
     assert tree.insert(1)
-    op = tree._root.update.read()[1]      # CLEAN, naming the finished insert
+    op = tree._root.read_update()[1]      # CLEAN, naming the finished insert
     assert isinstance(op, IInfo) and op.p is tree._root
     _free_everything(tree.epoch)
     assert op.p is None and op.l is None and op.new_internal is None
