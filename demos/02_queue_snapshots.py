@@ -17,14 +17,12 @@ print("scan:", q.scan())
 print("endpoints:", q.peek_endpoints())
 print("2nd element:", q.ith(2), "| 5th element:", q.ith(5))
 
-# The classic worked scenario: pin, snapshot, mutate, then read the cut.
-guard = q.epoch.pin()
-cut = q.epoch.snapshot(q.camera)
-q.enqueue(10)
-q.dequeue()
-print("scan at the old cut:", q.scan(at=cut), "(the mutations came later)")
-q.epoch.release_snapshot(cut)
-q.epoch.unpin(guard)
+# The classic worked scenario: hold a cut, mutate, then read the cut.  The
+# handle lives only inside the query block, whose pin also covers the updates.
+with q.epoch.query(q.camera) as cut:
+    q.enqueue(10)
+    q.dequeue()
+    print("scan at the old cut:", q.scan(at=cut), "(the mutations came later)")
 print("scan now:           ", q.scan())
 
 # Under contention every scan is still some real intermediate state.

@@ -65,8 +65,9 @@ class WorkloadConfig:
     def validate(self) -> None:
         if self.structure not in STRUCTURES:
             raise ConfigError(f"unknown structure {self.structure!r}")
-        if self.ins + self.delete + self.find + self.rq != 100:
-            raise ConfigError("operation percentages must sum to 100")
+        if (min(self.ins, self.delete, self.find, self.rq) < 0
+                or self.ins + self.delete + self.find + self.rq != 100):
+            raise ConfigError("operation percentages must be >= 0 and sum to 100")
         if self.rq > 0 and self.rqsize < 1:
             raise ConfigError("rqsize must be >= 1 when range queries run")
         if self.threads < 1 or self.seconds <= 0 or self.prefill < 0:
@@ -286,7 +287,9 @@ def _timed_mix(structure, config: WorkloadConfig):
 
 
 def run_with_baseline(config: WorkloadConfig) -> RunReport:
-    """Paired run: the configured structure against the plain-CAS baseline."""
+    """Paired run: a versioned tree build against the plain-CAS tree."""
+    if config.structure not in ("bst", "bst-direct"):
+        raise ConfigError("--baseline pairs only bst and bst-direct with the plain tree")
     report = run(config)
     base_cfg = WorkloadConfig(**{**vars(config),
                                  "structure": "bst-plain-cas-baseline"})
@@ -449,7 +452,8 @@ def _parser() -> argparse.ArgumentParser:
                    help="check every snapshot read's step bound and report "
                         "the hop histogram and violation count (slower)")
     p.add_argument("--baseline", action="store_true",
-                   help="also run the plain-CAS baseline and report the ratio")
+                   help="also run the plain-CAS tree (bst, bst-direct only) "
+                        "and report the ratio")
     p.add_argument("--csv", action="store_true")
     p.add_argument("--stress", action="store_true")
     p.add_argument("--windows", type=int, default=100)

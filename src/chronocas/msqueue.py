@@ -101,8 +101,8 @@ class MsQueue:
     def scan(self, at: int | None = None) -> list:
         """Full contents, head-to-tail order, at one cut.
 
-        ``at`` replays an earlier handle; the caller must then hold the pin
-        under which that handle was taken.
+        ``at`` replays an earlier handle; call it inside the
+        ``epoch.query(camera)`` block that returned that handle.
         """
         if at is not None:
             return self._scan_at(at)

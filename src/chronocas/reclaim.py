@@ -39,14 +39,14 @@ never returns a freed record; one that meets it anyway (a handle used
 without its pin) raises.
 
 Queries must pin for their whole snapshot lifetime, and a thread holds at
-most one snapshot handle at a time; every data-structure query runs inside
-:meth:`EpochManager.query`, which fuses pin + take_snapshot so the epoch
-argument for timestamp-based safety holds.  Its context is one small object
-over the thread's slot: entering it announces the epoch unless the thread
-is already pinned, then takes and records the handle; leaving it clears the
-handle and withdraws only an announcement it made itself.  No structure
-calls :meth:`EpochManager.pin`: updates pin through ``maybe_pinned`` and
-queries through ``query``, both of which write the slot directly.
+most one snapshot handle at a time.  Three calls announce, each writing the
+thread's slot directly.  :meth:`EpochManager.query` pins (unless already
+pinned) and takes a handle, fused so the epoch argument holds; it is the
+only way to take a handle, which lives only inside its ``with`` block, and
+every data-structure query runs in one.  :meth:`EpochManager.maybe_pinned`
+pins alone, for every structure update; under an outer pin, a ``query``
+block's included, it is a no-op that leaves the handle in place.
+:meth:`EpochManager.pin` / ``unpin`` pin through a :class:`Guard`.
 
 A pinned ``retire`` takes no lock: it appends to the current bag,
 ``_cur_bag``, with one ``list.append``, which the GIL makes atomic.  This is
@@ -73,7 +73,7 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 
 from . import _gate
 
@@ -87,7 +87,7 @@ class PoisonedReadError(RuntimeError):
 
 
 class ReclaimError(RuntimeError):
-    """Protocol misuse: nested pin, double retire, stray release."""
+    """Protocol misuse: nested pin or handle, double retire, stray unpin."""
 
 
 def enable_poisoning(on: bool = True) -> None:
@@ -217,14 +217,6 @@ class EpochManager:
         guard.active = False
         guard._slot.epoch = None
 
-    @contextmanager
-    def pinned(self):
-        guard = self.pin()
-        try:
-            yield guard
-        finally:
-            self.unpin(guard)
-
     def maybe_pinned(self):
         """Pin for a ``with`` block unless the calling thread already holds
         a pin (an operation inside an outer critical section is covered by
@@ -234,19 +226,6 @@ class EpochManager:
         return _COVERED if slot.epoch is not None else slot
 
     # -- snapshots ----------------------------------------------------------
-
-    def snapshot(self, camera) -> int:
-        """Take a snapshot handle under the caller's pin (one per thread)."""
-        slot = self._my_slot()
-        if slot.epoch is None:
-            raise ReclaimError("snapshot taken without a pin")
-        return _Query(slot, camera).__enter__()   # covered by the pin
-
-    def release_snapshot(self, handle: int) -> None:
-        slot = self._my_slot()
-        if slot.snapshot is not None and slot.snapshot != handle:
-            raise ReclaimError("releasing a handle this thread does not hold")
-        slot.snapshot = None
 
     def query(self, camera) -> _Query:
         """Pin (unless already pinned, as ``maybe_pinned``) and hold one

@@ -337,11 +337,9 @@ def test_criterion_3_step_bound():
         def reader():
             rng = random.Random(77)
             while not stop.is_set():
-                with mgr.pinned():
-                    h = mgr.snapshot(cam)
+                with mgr.query(cam) as h:
                     for _ in range(20):
                         cells[rng.randrange(3)].read_snapshot(h)
-                    mgr.release_snapshot(h)
 
         workers = ([threading.Thread(target=writer, args=(c,)) for c in cells]
                    + [threading.Thread(target=reader) for _ in range(2)])
@@ -605,13 +603,10 @@ def test_criterion_9_worked_queue_example():
     q = MsQueue()
     q.enqueue(3)
     q.enqueue(10)
-    guard = q.epoch.pin()
-    h = q.epoch.snapshot(q.camera)
-    q.enqueue(10)
-    q.dequeue()
-    got = q.scan(at=h)
-    q.epoch.release_snapshot(h)
-    q.epoch.unpin(guard)
+    with q.epoch.query(q.camera) as h:
+        q.enqueue(10)
+        q.dequeue()
+        got = q.scan(at=h)
     oracle = SeqQueue()
     oracle.step(("enqueue", 3))
     oracle.step(("enqueue", 10))

@@ -112,6 +112,29 @@ def test_cli_rejects_bad_mix(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_rejects_a_negative_share(capsys):
+    """A negative share can still sum to 100; with a prefill it shrinks the
+    key range below the prefill, which could then never be filled."""
+    rc = main(["--prefill", "0", "--ins", "150", "--del", "-50", "--find",
+               "0", "--rq", "0", "--threads", "1", "--seconds", "0.1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == "" and ">= 0" in captured.err
+
+
+@pytest.mark.parametrize("structure",
+                         ["queue", "list", "bst-plain-cas-baseline"])
+def test_cli_baseline_refuses_a_structure_without_a_plain_twin(capsys,
+                                                               structure):
+    """Only the versioned tree builds have a plain-CAS twin; any other
+    structure's throughput over the plain tree's is no overhead ratio."""
+    rc = main(["--structure", structure, "--prefill", "100", "--threads",
+               "1", "--seconds", "0.1", "--baseline"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == "" and "bst-direct" in captured.err
+
+
 def test_cli_stress_mode(capsys):
     rc = main(["--structure", "queue", "--prefill", "1", "--threads", "2",
                "--stress", "--windows", "10", "--seed", "11"])

@@ -475,8 +475,7 @@ def test_held_handle_traversal_matches_the_cut(mode):
     t, ref = LeafBst(mode=mode), SeqOrderedSet()
     for k in rng.sample(range(1000), 400):
         assert t.insert(k) == ref.step(("insert", k))
-    with t.epoch.pinned():
-        h = t.epoch.snapshot(t.camera)
+    with t.epoch.query(t.camera) as h:
         cut = ref.copy()
         for _ in range(2000):
             op, k = rng.choice(("insert", "delete")), rng.randrange(1000)
@@ -487,7 +486,6 @@ def test_held_handle_traversal_matches_the_cut(mode):
             assert list(t._keys(h, lo, hi)) == cut.step(("range", lo, hi))
         for k in range(0, 1000, 37):
             assert (t._descend(k, h)[2].key == k) == cut.step(("find", k))
-        t.epoch.release_snapshot(h)
     hops = instrument.hop_histogram()
     assert hops.get(0) and max(hops) > 0     # 0-hop reads and walks
     assert instrument.violation_count() == 0

@@ -83,13 +83,10 @@ def test_worked_scan_at_old_handle():
     q = MsQueue()
     q.enqueue(3)
     q.enqueue(10)
-    guard = q.epoch.pin()
-    h = q.epoch.snapshot(q.camera)
-    q.enqueue(10)
-    assert q.dequeue() == 3
-    assert q.scan(at=h) == [3, 10]
-    q.epoch.release_snapshot(h)
-    q.epoch.unpin(guard)
+    with q.epoch.query(q.camera) as h:
+        q.enqueue(10)
+        assert q.dequeue() == 3
+        assert q.scan(at=h) == [3, 10]
     assert q.scan() == [10, 10]
 
 
@@ -107,34 +104,30 @@ def test_unarmed_queue_walks_load_links_without_a_call(monkeypatch, mode):
     for _ in range(10):
         assert q.dequeue() == ref.step(("dequeue",))
     old = ref.step(("scan",))
-    guard = q.epoch.pin()
-    h = q.epoch.snapshot(q.camera)
-    for i in range(40, 50):           # updates the old handle must not see
-        q.enqueue(i)
-        ref.step(("enqueue", i))
-        assert q.dequeue() == ref.step(("dequeue",))
     calls = []
     read = QueueNode.read
 
     def counted(node):
         calls.append(node)
         return read(node)
-    monkeypatch.setattr(QueueNode, "read", counted)
-    cur = ref.step(("scan",))
-    indices = range(1, len(cur) + 2)
 
     def answers():
         return (q.scan(), [q.ith(i) for i in indices], q.peek_endpoints())
+    with q.epoch.query(q.camera) as h:
+        for i in range(40, 50):       # updates the old handle must not see
+            q.enqueue(i)
+            ref.step(("enqueue", i))
+            assert q.dequeue() == ref.step(("dequeue",))
+        monkeypatch.setattr(QueueNode, "read", counted)
+        assert q.scan(at=h) == old
+        assert calls == []
+        with ARMED_BY[mode]():
+            assert q.scan(at=h) == old
+            assert len(calls) == len(old)
+    cur = ref.step(("scan",))
+    indices = range(1, len(cur) + 2)
     expected = (cur, [ref.step(("ith", i)) for i in indices],
                 ref.step(("peek",)))
-
-    assert q.scan(at=h) == old
-    assert calls == []
-    with ARMED_BY[mode]():
-        assert q.scan(at=h) == old
-        assert len(calls) == len(old)
-    q.epoch.release_snapshot(h)
-    q.epoch.unpin(guard)
     calls.clear()
     assert answers() == expected
     assert calls == []
@@ -256,7 +249,7 @@ def test_snapshot_is_load_bearing_for_peek():
     spec = SeqQueue(("a", "b"))
 
     def broken_peek(self):
-        with self.epoch.pinned():
+        with self.epoch.maybe_pinned():
             head = self._head.read()
             tail = self._tail.read()
             if head is tail:

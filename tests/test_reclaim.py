@@ -5,10 +5,11 @@ import threading
 import pytest
 
 from chronocas import (INVALID_NEXTV, Camera, DirectVersionedCas, EpochManager,
-                       LeafBst, PoisonedReadError, ReclaimError, Versionable,
-                       _gate, instrument)
+                       LeafBst, MsQueue, PoisonedReadError, ReclaimError,
+                       Versionable, _gate, instrument)
 from chronocas import reclaim as reclaim_mod
 from chronocas.bst import IInfo
+from chronocas.oracle import SeqOrderedSet, SeqQueue
 from chronocas.vcas import SnapshotPreconditionError, VersionedCas
 from versions import head, version_chain
 
@@ -112,32 +113,22 @@ def test_racing_advancers_one_increment_per_epoch():
     assert mgr.epoch == 1 + sum(wins)
 
 
-def test_snapshot_release_cycle():
-    mgr = EpochManager()
-    cam = Camera()
-    with mgr.pinned():
-        h1 = mgr.snapshot(cam)
-        mgr.release_snapshot(h1)
-        h2 = mgr.snapshot(cam)
-        assert h2 >= h1
-        mgr.release_snapshot(h2)
-    mgr.release_snapshot(h2)   # no retired records held: a no-op
-
-
-def test_second_snapshot_without_release_diagnosed():
-    mgr = EpochManager()
-    cam = Camera()
-    with mgr.pinned():
-        h = mgr.snapshot(cam)
-        with pytest.raises(ReclaimError):
-            mgr.snapshot(cam)
-        mgr.release_snapshot(h)
-
-
 def _pin_and_handle(mgr):
     """The calling thread's announced epoch and snapshot handle."""
     slot = mgr._local.slot
     return (None, None) if slot is None else (slot.epoch, slot.snapshot)
+
+
+def test_snapshot_release_cycle():
+    mgr = EpochManager()
+    cam = Camera()
+    with mgr.query(cam) as h1:
+        pass
+    assert _pin_and_handle(mgr) == (None, None)
+    with mgr.query(cam) as h2:        # a released handle frees the slot
+        assert h2 >= h1
+        assert _pin_and_handle(mgr) == (1, h2)
+    assert _pin_and_handle(mgr) == (None, None)
 
 
 def test_nested_query_refused_keeping_the_outer_pin_and_handle():
@@ -146,8 +137,6 @@ def test_nested_query_refused_keeping_the_outer_pin_and_handle():
         with pytest.raises(ReclaimError):
             with mgr.query(cam):
                 pass
-        with pytest.raises(ReclaimError):
-            mgr.snapshot(cam)
         assert _pin_and_handle(mgr) == (1, h)
     assert _pin_and_handle(mgr) == (None, None)
 
@@ -172,6 +161,40 @@ def test_query_under_an_outer_pin_leaves_it_held():
     assert _pin_and_handle(mgr) == (None, None)
 
 
+def test_tree_update_inside_a_query_keeps_the_pin_and_handle():
+    """An update inside a ``query`` block is covered by the block's pin and
+    leaves its handle in place: reads at the handle still give the cut."""
+    t, ref = LeafBst(), SeqOrderedSet()
+    for k in (5, 1, 9):
+        assert t.insert(k) == ref.step(("insert", k))
+    with t.epoch.query(t.camera) as h:
+        announced = t.epoch.epoch
+        cut = ref.copy()
+        assert t.insert(7) == ref.step(("insert", 7))
+        assert t.delete(1) == ref.step(("delete", 1))
+        assert _pin_and_handle(t.epoch) == (announced, h)
+        assert list(t._keys(h, 0, 10)) == cut.step(("range", 0, 10)) == [1, 5, 9]
+    assert _pin_and_handle(t.epoch) == (None, None)
+    assert t.range_query(0, 10) == ref.step(("range", 0, 10)) == [5, 7, 9]
+
+
+def test_queue_update_inside_a_query_keeps_the_pin_and_handle():
+    q, ref = MsQueue(), SeqQueue()
+    for k in (3, 10):
+        q.enqueue(k)
+        ref.step(("enqueue", k))
+    with q.epoch.query(q.camera) as h:
+        announced = q.epoch.epoch
+        oh = ref.step(("snapshot",))
+        q.enqueue(4)
+        ref.step(("enqueue", 4))
+        assert q.dequeue() == ref.step(("dequeue",)) == 3
+        assert _pin_and_handle(q.epoch) == (announced, h)
+        assert q.scan(at=h) == ref.step(("scan", oh)) == [3, 10]
+    assert _pin_and_handle(q.epoch) == (None, None)
+    assert q.scan() == ref.step(("scan",)) == [10, 4]
+
+
 def test_failed_snapshot_leaves_no_pin():
     class BrokenCamera:
         def take_snapshot(self):
@@ -190,13 +213,11 @@ def test_held_snapshot_blocks_reclamation_growth():
     cam = Camera()
     mgr = EpochManager(advance_every=4)
     cell = VersionedCas(0, cam, mgr)
-    with mgr.pinned():
-        mgr.snapshot(cam)
+    with mgr.query(cam):
         for i in range(1, 301):
             cell.cas(i - 1, i)
         held = mgr.live_retired
         assert held >= 290    # pinned epoch: nothing freed
-        mgr.release_snapshot(0)
     for _ in range(4):
         mgr.try_advance_epoch()
     mgr.collect()
@@ -229,8 +250,7 @@ def test_random_pin_unpin_stress_never_reads_freed(poisoning):
         vals = [0, 0, 0, 0]
         try:
             for _ in range(400):
-                with mgr.pinned():
-                    h = mgr.snapshot(cam)
+                with mgr.query(cam) as h:
                     i = rng.randrange(4)
                     if rng.random() < 0.6:
                         if cells[i].cas(vals[i], vals[i] + 1):
@@ -239,7 +259,6 @@ def test_random_pin_unpin_stress_never_reads_freed(poisoning):
                             vals[i] = cells[i].read()
                     else:
                         cells[i].read_snapshot(h)
-                    mgr.release_snapshot(h)
         except PoisonedReadError as exc:
             errors.append(exc)
 
@@ -369,8 +388,7 @@ def test_trimmed_log_keeps_the_exact_bound():
         assert cell.cas(i, i + 1)
     assert len(cell._log) == 301
     assert cell._log.view()[1] <= 101     # every freed version dropped
-    with mgr.pinned():
-        h = mgr.snapshot(cam)
+    with mgr.query(cam) as h:
         for i in range(301, 304):
             cam.take_snapshot()
             assert cell.cas(i - 1, i)
@@ -381,7 +399,6 @@ def test_trimmed_log_keeps_the_exact_bound():
         assert instrument.violation_count() == 0
         instrument.note_walk(view, h, 4)      # one hop too many: caught
         assert instrument.violation_count() == 1
-        mgr.release_snapshot(h)
 
 
 class _PauseAt:
@@ -444,7 +461,7 @@ def test_pinned_walks_never_reach_cut_links():
         def writer(cell):
             try:
                 for _ in range(1500):
-                    with mgr.pinned():
+                    with mgr.maybe_pinned():
                         val = cell.read()
                         cell.cas(val, val + 1)
             except Exception as exc:   # reported by the main thread
@@ -454,10 +471,8 @@ def test_pinned_walks_never_reach_cut_links():
             last = [0, 0]
             try:
                 for _ in range(1500):
-                    with mgr.pinned():
-                        h = mgr.snapshot(cam)
+                    with mgr.query(cam) as h:
                         seen = [c.read_snapshot(h) for c in cells]
-                        mgr.release_snapshot(h)
                     if any(s < l for s, l in zip(seen, last)):
                         errors.append(AssertionError(f"{seen} after {last}"))
                     last = seen
@@ -514,7 +529,7 @@ def test_pinned_retire_takes_no_lock():
 def test_pinned_double_retire_diagnosed():
     mgr = EpochManager(advance_every=0)
     rec = Record(1)
-    with mgr.pinned():
+    with mgr.maybe_pinned():
         mgr.retire(rec)
         with pytest.raises(ReclaimError):
             mgr.retire(rec)
@@ -552,8 +567,7 @@ def test_maybe_pinned_unpins_on_exception():
             raise KeyError("inside the block")
     assert _pin_and_handle(mgr) == (None, None)
     assert mgr.maybe_pinned() is ctx
-    with mgr.pinned():                # the slot is usable again
-        pass
+    mgr.unpin(mgr.pin())              # the slot is usable again
 
 
 def test_lock_free_retire_accounting_under_racing_advances(poisoning):
