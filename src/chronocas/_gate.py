@@ -29,8 +29,8 @@ is live.  It is written only by :func:`install_controller`/
 another is still live.  Assigning ``_controller`` or ``_counter`` directly
 leaves the flag stale and the hook blind.  Hooks and modes change only
 between operations, so an operation may read :data:`armed` once and keep it.
-The fast paths that do: the snapshot walk and the 0-hop return of
-``VersionedPointer.read_snapshot``; ``LeafBst``'s ordered walk and
+The fast paths that do: ``VersionedPointer._swap``, the snapshot walk and
+the 0-hop return of ``read_snapshot``; ``LeafBst``'s ordered walk and
 ``height``, which take a stamped child head inline, and its descent
 (``find``, ``multisearch``, the update search), which takes that step
 below the two sentinel levels it passes without a comparison; and

@@ -35,9 +35,9 @@ from . import _gate
 _STRIPES = tuple(threading.Lock() for _ in range(256))
 _next_stripe = itertools.cycle(_STRIPES).__next__
 
-# One lock for all write-once node fields (version timestamps and version
-# links).  These fields transition at most once, so a single shared lock sees
-# only momentary contention; per-node locks would double allocation cost.
+# One lock for all write-once node fields (version timestamps and links),
+# each set once; per-node locks would double allocation cost.  A winning
+# versioned CAS also swings and stamps under it.  Lock order: stripe first.
 _install_lock = threading.Lock()
 
 

@@ -470,6 +470,9 @@ def main(argv=None) -> int:
     try:
         config.validate()
         if args.stress:
+            for flag in ("instrument", "baseline", "csv"):
+                if getattr(args, flag):
+                    raise ConfigError(f"--stress does not take --{flag}")
             result = stress(config, args.windows)
             print(json.dumps(result.to_dict(), indent=2))
             return 0 if result.passed else 1

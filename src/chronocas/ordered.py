@@ -43,6 +43,9 @@ POS_INF = Bound(+1)
 
 
 def _check_interval(start, end) -> None:
+    for key in (start, end):
+        if isinstance(key, Bound) and key is not NEG_INF and key is not POS_INF:
+            raise ValueError("only NEG_INF and POS_INF may bound an interval")
     if start > end:
         raise ValueError("range start exceeds end")
 
@@ -79,6 +82,7 @@ class OrderedQueries:
         """The ``count`` smallest keys above ``key`` (fewer if the set ends)."""
         if count < 1:
             raise ValueError("succ needs count >= 1")
+        _check_interval(key, POS_INF)
         with self.epoch.query(self.camera) as h:
             later = (k for k in self._keys(h, key, POS_INF) if k > key)
             return list(islice(later, count))

@@ -2,19 +2,20 @@
 
 A cell keeps its history as a singly-linked list of version records, newest
 first.  A successful ``cas`` pushes a record whose timestamp starts as TBD;
-the winner installs it afterwards with ``init_ts``, and every operation that
-meets a TBD head helps install it first.  That helping makes append +
-timestamp-read + timestamp-install appear atomic, so a snapshot read
-resolves any handle by walking to the first record stamped at or below it.
-``read``, ``cas`` and the walk help inline (one gated step, then a
+the winner stamps it right after the swing (see ``_swap``), and every
+operation that meets a TBD head helps install it first.  That helping makes
+append + timestamp-read + timestamp-install appear atomic, so a snapshot
+read resolves any handle by walking to the first record stamped at or below
+it.  ``read``, ``cas`` and the walk help inline (one gated step, then a
 ``field_cas`` only when the head is still TBD); ``init_ts`` is the same
-check as a method, for the publish tail and racing helpers.
+check as a method, for racing helpers and the armed winner.
 :class:`VersionedPointer` holds that protocol once, ``read``, ``cas``,
 ``read_snapshot`` and the walk, for both cell forms, and is itself the
 atomic word: the head record and the lock that guards its swap are slots of
 the pointer, as in the paper's vCAS object.  The lock comes from
 :mod:`chronocas.atomic`'s shared table and obeys its rules: the swap's
-critical section takes no other table lock and no gated step.  The forms
+critical section takes no other table lock and no gated step; it nests
+``atomic._install_lock`` inside the stripe, never the reverse.  The forms
 differ only in their records: :class:`VersionedCas` wraps each value in a
 :class:`VNode`, and :class:`~chronocas.vcas_direct.DirectVersionedCas`
 threads the list through the user's nodes, each its own value.  Both
@@ -40,7 +41,7 @@ published head never has it; a pinned walk never meets one, see
 from __future__ import annotations
 
 from . import _gate, instrument, reclaim
-from .atomic import _next_stripe, field_cas
+from .atomic import _install_lock, _next_stripe, field_cas
 from .camera import INVALID_NEXTV, TBD, Camera
 
 # Test-only fault injection:  "no_read_help" drops the helping step from
@@ -108,9 +109,9 @@ class VersionedPointer:
     The head is read without the lock (one slot read after the gated step)
     and swung only under it.  A successful swap runs ``_appended(old, new)``
     (a no-op unless a subclass refuses the swap there), then appends to the
-    instrumented log, both inside the critical section, before the new head
-    becomes visible.  ``_appended`` must take no gated step and no table
-    lock; if it raises, nothing is logged and the head is not swung.
+    instrumented log, both under ``_install_lock`` inside the critical
+    section, before the new head becomes visible.  ``_appended`` takes no
+    gated step and no lock; if it raises, nothing is logged or swung.
     """
 
     __slots__ = ("_head", "_lock", "_camera", "_floor_ts", "_log", "_reclaim")
@@ -177,21 +178,29 @@ class VersionedPointer:
 
     def _swap(self, head, new) -> bool:
         """Swing the head from ``head`` to ``new`` (records compare by
-        identity).  The winner installs its own timestamp; a loser helps
-        whatever head beat it."""
-        if _gate.armed:
+        identity); a loser helps whatever head beat it.  The winner swings
+        under ``_install_lock``, which every ``ts`` install holds, and
+        unarmed stamps there after the swing: a reader meeting the TBD head
+        has read the camera and waits in ``field_cas`` for the stamp, then
+        fails; a handle taken in between is below the stamp."""
+        armed = _gate.armed
+        if armed:
             _gate.step()
         with self._lock:
             won = self._head is head
             if won:
-                self._appended(head, new)
-                if self._log is not None:
-                    self._log.append(new)
-                self._head = new
+                with _install_lock:
+                    self._appended(head, new)
+                    if self._log is not None:
+                        self._log.append(new)
+                    self._head = new
+                    if not armed:
+                        new.ts = self._camera.peek_timestamp()
         if won:
-            self.init_ts(new)
+            if armed:
+                self.init_ts(new)
             return True
-        if _gate.armed:
+        if armed:
             _gate.step()
         self.init_ts(self._head)
         return False

@@ -22,7 +22,7 @@ publication.  The sentinel is never published, retired or freed.
 from __future__ import annotations
 
 from . import _gate
-from .atomic import _install_lock, field_cas
+from .atomic import field_cas
 from .camera import INVALID_NEXTV, TBD, Camera
 from .vcas import VersionedPointer, VersionRecord, VNode
 
@@ -92,9 +92,8 @@ class DirectVersionedCas(VersionedPointer):
     def _appended(self, old, new) -> None:
         # Displaced nodes are retired by the owning structure: in a
         # recorded-once client the displaced head is exactly the node the
-        # structure just unlinked.  A republication is refused here, before
-        # the swing, so the head never names a node another cell published.
-        with _install_lock:
-            if new._published:
-                raise RecordedOnceError(f"{type(new).__name__} published twice")
-            new._published = True
+        # structure just unlinked.  A republication is refused here, under
+        # ``_install_lock`` and before the swing: no two heads name a node.
+        if new._published:
+            raise RecordedOnceError(f"{type(new).__name__} published twice")
+        new._published = True

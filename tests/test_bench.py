@@ -154,6 +154,17 @@ def test_cli_stress_rejects_a_run_without_windows(capsys, windows):
     assert captured.out == "" and "window" in captured.err
 
 
+@pytest.mark.parametrize("flag", ["--instrument", "--baseline", "--csv"])
+def test_cli_stress_refuses_a_flag_it_would_ignore(capsys, flag):
+    """A stress run neither instruments, pairs with a baseline nor writes
+    CSV: taking the flag silently would report what was not done."""
+    rc = main(["--structure", "queue", "--prefill", "1", "--threads", "1",
+               "--stress", "--windows", "1", flag])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == "" and flag in captured.err
+
+
 class _OneFailingFind(LeafBst):
     """Raises from the 20th find; every other operation works."""
 

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from chronocas import HarrisList, LeafBst
+from chronocas import NEG_INF, POS_INF, HarrisList, LeafBst
+from chronocas.bst import INF1, INF2
 from chronocas.oracle import SeqOrderedSet
 
 BUILDS = {
@@ -69,3 +70,24 @@ def test_query_edges(ordered_set):
         s.succ(2, 0)
     with pytest.raises(ValueError):
         s.ith(0)
+
+
+def test_intervals_end_only_at_the_outer_bounds(ordered_set):
+    """``NEG_INF`` and ``POS_INF`` may end an interval; the tree's routing
+    bounds may not, since a walk up to one yields a sentinel's key."""
+    s = ordered_set
+    for k in (1, 5, 9):
+        s.insert(k)
+    for bound in (INF1, INF2):
+        for query in (lambda: s.range_query(1, bound),
+                      lambda: s.range_query(bound, bound),
+                      lambda: s.range_sum(1, bound),
+                      lambda: s.find_if(10, bound, lambda k: True),
+                      lambda: s.succ(bound, 1)):
+            with pytest.raises(ValueError):
+                query()
+    assert s.range_query(1, POS_INF) == [1, 5, 9]
+    assert s.range_query(NEG_INF, POS_INF) == [1, 5, 9]
+    assert s.range_sum(NEG_INF, POS_INF) == 15
+    assert s.find_if(10, POS_INF, lambda k: True) is None
+    assert s.succ(NEG_INF, 2) == [1, 5] and s.succ(POS_INF, 1) == []

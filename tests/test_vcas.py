@@ -1,4 +1,7 @@
 import random
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,6 +191,120 @@ def test_gated_steps_of_each_access_are_exact():
     assert empty.read() is None and empty.read_snapshot(now) is None
     # head, help check, link install, swap, init_ts (three as above)
     assert _steps(lambda: d.cas(a, b)) == 7
+
+
+def test_unarmed_winner_stamps_without_a_field_cas(monkeypatch):
+    """Unarmed, a winning cas stamps its record inside the swap's critical
+    section: no install call, and the head is stamped when cas returns."""
+    cam = Camera()
+    v = VersionedCas(0, cam)
+    cam.take_snapshot()
+    calls, install = [], vcas_mod.field_cas
+
+    def counted(obj, name, expected, new):
+        calls.append(name)
+        return install(obj, name, expected, new)
+    monkeypatch.setattr(vcas_mod, "field_cas", counted)
+    assert v.cas(0, 1)
+    assert calls == [] and head(v).ts == 1
+
+
+class _PausingCamera(Camera):
+    """A camera whose next ``peek_timestamp`` first runs ``pause``."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.pause = None
+
+    def peek_timestamp(self) -> int:
+        pause, self.pause = self.pause, None
+        if pause is not None:
+            pause()
+        return super().peek_timestamp()
+
+
+@pytest.mark.parametrize("form", ["indirect", "direct"])
+def test_no_reader_sees_the_winners_record_before_its_stamp(form):
+    """Unarmed, the winner reads its stamp inside the critical section,
+    after the swing: a reader that meets the TBD head waits until the stamp
+    is in, and a handle taken in between reads the old value."""
+    cam = _PausingCamera()
+    if form == "indirect":
+        old, new = "old", "new"
+        v = VersionedCas(old, cam)
+    else:
+        old, new = _Node("old"), _Node("new")
+        v = DirectVersionedCas(old, cam)
+    # take_snapshot runs under v's stripe below; a shared one would deadlock
+    assert cam._timestamp._lock is not v._lock
+    taken, blocked, seen = {}, [], []
+
+    def pause():
+        h = taken["h"] = cam.take_snapshot()
+        reader = taken["reader"] = threading.Thread(
+            target=lambda: seen.extend((v.read(), v.read_snapshot(h))),
+            daemon=True)
+        reader.start()
+        reader.join(0.2)
+        blocked.append(reader.is_alive())
+    cam.pause = pause
+    assert v.cas(old, new)
+    h, reader = taken["h"], taken["reader"]
+    reader.join(5)
+    assert blocked == [True] and not reader.is_alive()
+    assert seen == [new, old]
+    assert head(v).ts == h + 1
+
+
+def test_held_handle_reads_never_change_under_unarmed_writers():
+    """Two writers increment four cells while two readers each hold a
+    handle and read every cell at it twice: both reads agree, and no cell
+    reads lower at a later handle.  The unarmed winner's stamp has no
+    exhaustive exploration; a stamp taken before the swing, or outside the
+    lock, lets a held handle read two values."""
+    cam, epoch = Camera(), EpochManager()
+    cells = [VersionedCas(0, cam, epoch) for _ in range(4)]
+    stop, failures, queries = threading.Event(), [], []
+
+    def writer(seed):
+        rng = random.Random(seed)
+        while not stop.is_set():
+            cell = rng.choice(cells)
+            with epoch.maybe_pinned():
+                seen = cell.read()
+                cell.cas(seen, seen + 1)
+
+    def reader():
+        last, n = [0] * len(cells), 0
+        while not stop.is_set():
+            with epoch.query(cam) as h:
+                first = [c.read_snapshot(h) for c in cells]
+                time.sleep(0)
+                second = [c.read_snapshot(h) for c in cells]
+            n += 1
+            if first != second or any(a < b for a, b in zip(first, last)):
+                failures.append((h, last, first, second))
+                break
+            last = first
+        queries.append(n)
+
+    threads = [threading.Thread(target=writer, args=(i,)) for i in (1, 2)]
+    threads += [threading.Thread(target=reader) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        time.sleep(1.5)
+    finally:
+        stop.set()
+        for t in threads:
+            t.join(10)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    assert len(queries) == 2 and min(queries) > 10
+    assert sum(c.read() for c in cells) > 100
 
 
 def test_zero_hop_snapshot_read_returns_the_head_without_walking(monkeypatch):

@@ -1,6 +1,7 @@
 import pytest
 
 import chronocas.vcas as vcas_mod
+import chronocas.vcas_direct as direct_mod
 from chronocas import (Camera, DirectVersionedCas, EpochManager, INVALID_NEXTV,
                        PoisonedReadError, RecordedOnceError,
                        SnapshotPreconditionError, TBD, Versionable,
@@ -111,6 +112,24 @@ def test_zero_hop_snapshot_read_returns_the_head_without_walking(monkeypatch):
     c.nextv, cell._head = b, c       # appended, not yet stamped
     assert cell.read_snapshot(h1) is b and walks == [h0, h1]      # helped, 1 hop
     assert c.ts != TBD
+
+
+def test_unarmed_winner_makes_only_its_link_install(monkeypatch):
+    """Unarmed, a winning cas links its node with one install and stamps
+    it inside the swap's critical section, without a second install."""
+    cam = Camera()
+    a, b = Node("a"), Node("b")
+    cell = DirectVersionedCas(a, cam)
+    cam.take_snapshot()
+    calls = []
+    for mod in (vcas_mod, direct_mod):
+        def counted(obj, name, expected, new, install=mod.field_cas, mod=mod):
+            calls.append((mod.__name__, name))
+            return install(obj, name, expected, new)
+        monkeypatch.setattr(mod, "field_cas", counted)
+    assert cell.cas(a, b)
+    assert calls == [("chronocas.vcas_direct", "nextv")]
+    assert b.ts == 1 and b.nextv is a
 
 
 def test_poisoned_head_traps_a_zero_hop_snapshot_read():
