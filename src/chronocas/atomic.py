@@ -8,8 +8,8 @@ another shared access, so the gate in :mod:`chronocas._gate` can suspend a
 thread between accesses without deadlock.  A versioned pointer
 (:class:`chronocas.vcas.VersionedPointer`) keeps its head the same way in its
 own slots, with a lock from the same table; :class:`AtomicCell` serves the
-unversioned words: the camera's counter, :class:`PlainCell`, queue nodes
-(each its own next link) and BST internal nodes (each its own update word).
+unversioned words: :class:`PlainCell`, and the camera, queue nodes and BST
+internal nodes, each its own counter, next link or update word.
 
 Cells share stripes, so a critical section under a table lock obeys two
 rules.  It takes no other table lock: the second lock may be its own stripe,

@@ -35,12 +35,11 @@ from .harris_list import HarrisList
 from .lincheck import CheckBoundsError, Recorder, check_linearizable
 from .msqueue import MsQueue
 from .oracle import SeqOrderedSet, SeqQueue
+from .ordered import NEG_INF, POS_INF
 
 STRUCTURES = ("queue", "list", "bst", "bst-direct", "bst-plain-cas-baseline")
 
 SCHEMA_VERSION = 1
-
-_KEY_CAP = 10 ** 9
 
 
 class ConfigError(ValueError):
@@ -192,21 +191,27 @@ def _prefill_sorted(structure, config: WorkloadConfig) -> None:
     keys = list(range(1, config.prefill + 1))
     chunks = [keys[i:i + 1024] for i in range(0, len(keys), 1024)]
     chunk_lock = threading.Lock()
+    errors: list = []
 
     def worker():
-        while True:
-            with chunk_lock:
-                if not chunks:
-                    return
-                chunk = chunks.pop(0)
-            for k in chunk:
-                structure.insert(k)
+        try:
+            while True:
+                with chunk_lock:
+                    if not chunks:
+                        return
+                    chunk = chunks.pop(0)
+                for k in chunk:
+                    structure.insert(k)
+        except Exception as exc:  # surfaced below, after every join
+            errors.append(exc)
 
     threads = [threading.Thread(target=worker) for _ in range(config.threads)]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
+    if errors:
+        raise errors[0]
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +328,8 @@ class StressReport:
                 "first_witness": self.first_witness}
 
 
-def stress(config: WorkloadConfig, windows: int, ops_per_window: int = 3,
-           key_range: int | None = None) -> StressReport:
+def stress(config: WorkloadConfig, windows: int,
+           ops_per_window: int = 3) -> StressReport:
     """Quiesce, checkpoint the abstract state, record a burst of concurrent
     operations, and check the window against the sequential spec."""
     config.validate()
@@ -335,7 +340,7 @@ def stress(config: WorkloadConfig, windows: int, ops_per_window: int = 3,
     # fine-grained preemption so the recorded windows actually interleave
     old_switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
-    kr = key_range or max(4, config.threads * 2)
+    kr = max(4, config.threads * 2)
     is_queue = isinstance(structure, MsQueue)
 
     report = StressReport()
@@ -346,7 +351,7 @@ def stress(config: WorkloadConfig, windows: int, ops_per_window: int = 3,
     def snapshot_state():
         if is_queue:
             return tuple(structure.scan())
-        return tuple(structure.range_query(-_KEY_CAP, _KEY_CAP))
+        return tuple(structure.range_query(NEG_INF, POS_INF))
 
     def window_ops(recorder: Recorder, tid: int, rng: random.Random):
         for _ in range(ops_per_window):

@@ -2,12 +2,13 @@
 
 A snapshot handle is just the counter value observed by ``take_snapshot``;
 the snapshot it names is the instant the counter moved from that value to
-the next one (by any caller).
+the next one (by any caller).  The camera is its own counter word, read and
+swung by ``AtomicCell``'s methods, but no ``AtomicCell``: it has no ``cas``.
 """
 
 from __future__ import annotations
 
-from .atomic import AtomicCell
+from .atomic import AtomicCell, _next_stripe
 
 # Reserved "to-be-decided" timestamp carried by a freshly appended version
 # until helping installs a real one.  Valid timestamps are strictly smaller.
@@ -25,10 +26,12 @@ _COUNTER_CEILING = 1 << 63
 class Camera:
     """Monotone counter; handles identify consistent cuts across all cells."""
 
-    __slots__ = ("_timestamp",)
+    __slots__ = ("_value", "_lock")
+    peek_timestamp = AtomicCell.read   # the current counter, unmodified
 
     def __init__(self) -> None:
-        self._timestamp = AtomicCell(0)
+        self._value = 0
+        self._lock = _next_stripe()
 
     def take_snapshot(self) -> int:
         """Return a snapshot handle.  Two shared accesses, never retries.
@@ -36,11 +39,7 @@ class Camera:
         The single CAS may fail only because a concurrent caller performed
         the same increment, which serves this call equally well.
         """
-        ts = self._timestamp.read()
+        ts = self.peek_timestamp()
         assert ts < _COUNTER_CEILING
-        self._timestamp.cas(ts, ts + 1)
+        AtomicCell.cas(self, ts, ts + 1)
         return ts
-
-    def peek_timestamp(self) -> int:
-        """Current counter value, unmodified."""
-        return self._timestamp.read()

@@ -21,15 +21,13 @@ from .vcas import VersionedCas
 
 
 class ListNode(VersionedCas):
-    __slots__ = ("key", "_poisoned")
+    __slots__ = ("key",)
 
     def __init__(self, key, link, camera: Camera, epoch: EpochManager) -> None:
         super().__init__((link, False), camera, epoch)
         self.key = key
-        self._poisoned = False
 
     def _poison(self) -> None:
-        self._poisoned = True
         self.key = reclaim._TRAP
 
 

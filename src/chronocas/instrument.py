@@ -15,7 +15,7 @@ from __future__ import annotations
 import bisect
 import threading
 
-from . import _gate
+from . import _gate, reclaim
 from .camera import INVALID_NEXTV, TBD
 
 ENABLED = False
@@ -115,7 +115,7 @@ class VersionLog:
         n = len(entries)
         for newer in range(n):          # node is entries[n - 1 - newer]
             nxt = node.nextv
-            if nxt is INVALID_NEXTV or node._poisoned:
+            if nxt is INVALID_NEXTV or nxt is reclaim._TRAP:
                 entries = entries[n - newer:]
                 self._state = (base + n - newer, entries)
                 break

@@ -30,15 +30,13 @@ from .vcas import VersionedCas
 class QueueNode(AtomicCell):
     """A queue node and its write-once next link (the cell's value)."""
 
-    __slots__ = ("key", "_poisoned")
+    __slots__ = ("key",)
 
     def __init__(self, key) -> None:
         super().__init__(None)
         self.key = key
-        self._poisoned = False
 
     def _poison(self) -> None:
-        self._poisoned = True
         self.key = reclaim._TRAP
 
 

@@ -17,14 +17,15 @@ and the value of its own update word.  Each cell's version list then holds
 at most its head, its displaced records not yet freed and one freed record
 that ends it and holds nothing, so nothing else stays reachable through it.
 A BST info record drops its node references.  With poisoning on, a record
-that a walk can reach (a version record, a structure node) runs ``_poison``
-instead: it is stamped with a trap pattern (its link included) and any later
-algorithm read of it raises :class:`PoisonedReadError`.  A record with no
-``_poison`` (a BST info record, which no walk reaches) is freed as usual, so
-poisoning never keeps more alive than freeing.  The stress suites assert
-that the trap never fires.  Poisoning arms the gate, so every operation
-takes the checked path, and each walk and each queue query runs
-:func:`check_live` on every record whose fields it reads.
+that a walk can reach runs ``_poison`` instead, and its trap is its only
+mark: a version record's link and a structure node's key become ``_TRAP``
+(a ``VNode``'s value too).  A record with no ``_poison`` (a BST info record,
+which no walk reaches) is freed as usual, so poisoning never keeps more
+alive than freeing.  The stress suites assert that the trap never fires.
+Poisoning arms the gate, so every operation takes the checked path: each
+version walk raises :class:`PoisonedReadError` on a trapped link, and each
+structure walk and queue query runs :func:`check_live`, which raises on a
+trapped key, on every node whose fields it reads.
 
 Freeing is safe by the epoch argument below.  A displaced version is
 retired only after its successor is stamped, pinned or not:
@@ -99,10 +100,10 @@ def enable_poisoning(on: bool = True) -> None:
 enable_poisoning(os.environ.get("CHRONOCAS_DEBUG_POISON") == "1")
 
 
-def check_live(record) -> None:
-    """Trap check on the armed read path; only a poisoned record fails it."""
-    if record._poisoned:
-        raise PoisonedReadError(f"read of freed record {type(record).__name__}")
+def check_live(node) -> None:
+    """Armed-path trap check of a structure node: a trapped key fails it."""
+    if node.key is _TRAP:
+        raise PoisonedReadError(f"read of freed record {type(node).__name__}")
 
 
 class _Slot:

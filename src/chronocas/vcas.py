@@ -35,7 +35,8 @@ A handle older than the cell's first record is rejected before any walk,
 and a freed record holds nothing: its link is cut to :data:`INVALID_NEXTV`
 and its value dropped, so a walk raises on any record with that link (a
 published head never has it; a pinned walk never meets one, see
-:mod:`chronocas.reclaim`).  Both raise :class:`SnapshotPreconditionError`.
+:mod:`chronocas.reclaim`).  Both raise :class:`SnapshotPreconditionError`;
+a record poisoned instead, its link trapped, raises ``PoisonedReadError``.
 """
 
 from __future__ import annotations
@@ -69,13 +70,12 @@ class SnapshotPreconditionError(RuntimeError):
 class VersionRecord:
     """Write-once timestamp and link to the next older version."""
 
-    __slots__ = ("ts", "nextv", "_poisoned")
+    __slots__ = ("ts", "nextv")
 
     def _free(self) -> None:
         self.nextv = INVALID_NEXTV
 
     def _poison(self) -> None:
-        self._poisoned = True
         self.nextv = reclaim._TRAP
 
 
@@ -88,7 +88,6 @@ class VNode(VersionRecord):
         self.val = val
         self.nextv = nextv
         self.ts = TBD
-        self._poisoned = False
 
     def _free(self) -> None:
         VersionRecord._free(self)
@@ -226,15 +225,16 @@ class VersionedPointer:
         view = self._log.view() if self._log is not None else None
         hops = 0
         while node is not None:
-            if armed:
-                reclaim.check_live(node)
-            if node.nextv is INVALID_NEXTV:
+            nextv = node.nextv
+            if nextv is INVALID_NEXTV:
                 raise SnapshotPreconditionError(
                     f"handle {handle} predates this cell's retained history "
                     f"(a version on its walk was freed)")
+            if armed and nextv is reclaim._TRAP:   # poisoning arms the gate
+                raise reclaim.PoisonedReadError("walk reached a freed record")
             if node.ts <= handle:
                 break
-            node = node.nextv
+            node = nextv
             hops += 1
         if instrument.ENABLED:
             instrument.note_walk(view, handle, hops)

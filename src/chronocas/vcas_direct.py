@@ -45,7 +45,6 @@ class Versionable(VersionRecord):
         self.ts = TBD
         self.nextv = INVALID_NEXTV
         self._published = False
-        self._poisoned = False
 
     @property
     def val(self):

@@ -201,3 +201,32 @@ def test_worker_error_fails_the_run(monkeypatch, capsys):
     assert rc == 1
     assert out.out == ""
     assert "injected find failure" in out.err
+
+
+class _OneFailingInsert(LeafBst):
+    def __init__(self) -> None:
+        super().__init__()
+        self._inserts = itertools.count(1)
+
+    def insert(self, key):
+        if next(self._inserts) == 700:
+            raise RuntimeError("injected insert failure")
+        return super().insert(key)
+
+
+def test_sorted_prefill_worker_error_fails_the_run(monkeypatch, capsys):
+    """A ``--sorted`` prefill worker's error fails the run once every
+    prefill thread has joined, as a timed worker's does."""
+    monkeypatch.setattr(bench, "build_structure",
+                        lambda name: _OneFailingInsert())
+    threads_before = threading.active_count()
+    with pytest.raises(RuntimeError, match="injected insert failure"):
+        run(WorkloadConfig(structure="bst", prefill=3000, threads=2,
+                           seconds=0.2, sorted_insert=True))
+    assert threading.active_count() == threads_before   # every worker joined
+    rc = main(["--structure", "bst", "--prefill", "3000", "--sorted",
+               "--threads", "2", "--seconds", "0.2"])
+    out = capsys.readouterr()
+    assert rc == 1
+    assert out.out == ""
+    assert "injected insert failure" in out.err

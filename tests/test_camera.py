@@ -42,7 +42,7 @@ def test_take_snapshot_is_two_shared_accesses():
 
 def test_counter_ceiling_assertion():
     cam = Camera()
-    cam._timestamp._value = _COUNTER_CEILING
+    cam._value = _COUNTER_CEILING
     with pytest.raises(AssertionError):
         cam.take_snapshot()
 

@@ -246,6 +246,30 @@ def test_a_node_is_its_own_cell_word(build):
     assert per_key < bound, per_key
 
 
+class _Queue(MsQueue):
+    insert = MsQueue.enqueue
+
+
+# Each build as above, and the queue, with a bound set between records that
+# carry a separate poisoned flag (about 643 / 522 / 387 / 292 / 104) and
+# records known to be poisoned by their trapped key or link alone (about
+# 603 / 498 / 371 / 272 / 96).
+NO_FLAG_BYTES_PER_KEY = {
+    "indirect": (lambda: LeafBst(mode="indirect"), 10_000, 623),
+    "direct": (lambda: LeafBst(mode="direct"), 10_000, 510),
+    "plain": (lambda: LeafBst(mode="plain"), 10_000, 379),
+    "list": (HarrisList, 5_000, 282),
+    "queue": (_Queue, 10_000, 100),
+}
+
+
+@pytest.mark.parametrize("build", list(NO_FLAG_BYTES_PER_KEY))
+def test_records_carry_no_poison_flag(build):
+    factory, n, bound = NO_FLAG_BYTES_PER_KEY[build]
+    per_key = _traced_bytes_per_key(factory, n)
+    assert per_key < bound, per_key
+
+
 @pytest.mark.parametrize("mode", ["indirect", "direct", "plain"])
 def test_cells_share_one_lock_table(mode):
     """Every cell word takes its lock from one fixed table, so a 2,000-key

@@ -6,12 +6,13 @@ import time
 import pytest
 
 from chronocas import MsQueue, PoisonedReadError
-from chronocas import instrument, reclaim
+from chronocas import _gate, instrument, reclaim
 from chronocas.bench import WorkloadConfig, stress
 from chronocas.msqueue import QueueNode
 from chronocas.oracle import SeqQueue
 
-from armed import ARMED_BY
+from armed import ARMED_BY, PauseAt
+from versions import version_chain
 
 
 def test_enqueue_dequeue_roundtrip():
@@ -43,6 +44,39 @@ def test_peek_endpoints():
     q.enqueue(3)
     q.enqueue(10)
     assert q.peek_endpoints() == (3, 10)
+
+
+def test_parked_enqueuer_between_link_and_tail_swing():
+    """An enqueuer parked after its link CAS, before its tail swing, leaves
+    the tail lagging: queries still end at the old tail, the next enqueue
+    helps the tail past the parked node, and the parked swing then fails
+    without effect."""
+    q = MsQueue()
+    q.enqueue(1)
+    q.enqueue(2)
+    parked = threading.Thread(target=q.enqueue, args=(3,))
+    # armed: _tail.read() takes 2 steps, last.read() 1 and the link CAS 1;
+    # the 5th is the tail swing's
+    ctl = PauseAt(parked, 5)
+    _gate.install_controller(ctl)
+    try:
+        parked.start()
+        assert ctl.paused.wait(10)
+        assert q._tail.read().key == 2
+        assert q.scan() == [1, 2]
+        q.enqueue(4)
+        assert q.scan() == [1, 2, 3, 4]
+        assert q.dequeue() == 1
+        assert q.peek_endpoints() == (2, 4)
+        assert q.ith(2) == 3
+    finally:
+        ctl.resume.set()
+        parked.join(10)
+        _gate.remove_controller()
+    assert not parked.is_alive()
+    # the helped swing to 3 and the swing to 4 only: the parked one failed
+    assert [r.val.key for r in version_chain(q._tail)] == [4, 3, 2, 1, None]
+    assert q.scan() == [2, 3, 4]
 
 
 def test_queries_trap_a_freed_node():

@@ -11,17 +11,17 @@ from chronocas import reclaim as reclaim_mod
 from chronocas.bst import IInfo
 from chronocas.oracle import SeqOrderedSet, SeqQueue
 from chronocas.vcas import SnapshotPreconditionError, VersionedCas
+from armed import PauseAt
 from versions import head, version_chain
 
 
 class Record:
-    def __init__(self, tag):
-        self.tag = tag
-        self._poisoned = False
+    def __init__(self, key):
+        self.key = key
         self.hooks = 0
 
     def _poison(self):
-        self._poisoned = True
+        self.key = reclaim_mod._TRAP
         self.hooks += 1
 
 
@@ -86,7 +86,7 @@ def test_spec_scenario_freed_after_two_advances_and_collect(poisoning):
     assert mgr.freed_total == 0
     assert mgr.collect() == 1        # bag[r] certified at r+2
     assert mgr.freed_total == 1
-    assert rec._poisoned
+    assert rec.key is reclaim_mod._TRAP
     with pytest.raises(PoisonedReadError):
         reclaim_mod.check_live(rec)
 
@@ -326,8 +326,7 @@ def test_free_cuts_indirect_links_without_poisoning():
     _, mgr, cell, displaced, _ = _indirect_history(5)
     assert len(version_chain(cell)) == 6
     _free_everything(mgr)
-    assert all(rec.nextv is INVALID_NEXTV and not rec._poisoned
-               for rec in displaced)
+    assert all(rec.nextv is INVALID_NEXTV for rec in displaced)
     assert all(rec.val is None for rec in displaced)   # freed: holds nothing
     assert len(version_chain(cell)) == 2   # head plus the freed record ending it
     assert cell.read() == 5
@@ -336,7 +335,7 @@ def test_free_cuts_indirect_links_without_poisoning():
 def test_free_cuts_direct_links_without_poisoning():
     _, mgr, cell, displaced, _ = _direct_history(5)
     _free_everything(mgr)
-    assert all(n.nextv is INVALID_NEXTV and not n._poisoned for n in displaced)
+    assert all(n.nextv is INVALID_NEXTV for n in displaced)
     assert cell.read().payload == 5
 
 
@@ -401,22 +400,6 @@ def test_trimmed_log_keeps_the_exact_bound():
         assert instrument.violation_count() == 1
 
 
-class _PauseAt:
-    """Gate controller that suspends ``thread`` at its ``n``-th gated step
-    until ``resume`` is set; every other thread passes."""
-
-    def __init__(self, thread, n):
-        self.thread, self.n, self.steps = thread, n, 0
-        self.paused, self.resume = threading.Event(), threading.Event()
-
-    def on_access(self, thread):
-        if thread is self.thread:
-            self.steps += 1
-            if self.steps == self.n:
-                self.paused.set()
-                self.resume.wait(10)
-
-
 def test_unpinned_writer_retires_after_stamping_the_successor():
     """An unpinned writer paused just before it stamps its new head has not
     retired the head it displaced: three epoch advances free nothing, and a
@@ -426,7 +409,7 @@ def test_unpinned_writer_retires_after_stamping_the_successor():
     cell = VersionedCas(0, cam, mgr)
     won = []
     writer = threading.Thread(target=lambda: won.append(cell.cas(0, 1)))
-    ctl = _PauseAt(writer, 4)         # the winner's init_ts
+    ctl = PauseAt(writer, 4)         # the winner's init_ts
     _gate.install_controller(ctl)
     try:
         writer.start()

@@ -236,7 +236,7 @@ def test_no_reader_sees_the_winners_record_before_its_stamp(form):
         old, new = _Node("old"), _Node("new")
         v = DirectVersionedCas(old, cam)
     # take_snapshot runs under v's stripe below; a shared one would deadlock
-    assert cam._timestamp._lock is not v._lock
+    assert cam._lock is not v._lock
     taken, blocked, seen = {}, [], []
 
     def pause():
@@ -351,7 +351,7 @@ def test_poisoned_head_traps_a_zero_hop_snapshot_read():
     for _ in range(3):
         mgr.try_advance_epoch()
     mgr.collect()
-    assert head(v)._poisoned and head(v).ts <= h
+    assert head(v).nextv is reclaim._TRAP and head(v).ts <= h
     with pytest.raises(PoisonedReadError):
         v.read_snapshot(h)
 

@@ -143,7 +143,7 @@ def test_poisoned_head_traps_a_zero_hop_snapshot_read():
     for _ in range(3):
         mgr.try_advance_epoch()
     mgr.collect()
-    assert a._poisoned and a.ts <= h
+    assert a.nextv is reclaim._TRAP and a.ts <= h
     with pytest.raises(PoisonedReadError):
         cell.read_snapshot(h)
 
